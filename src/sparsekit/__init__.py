@@ -8,13 +8,11 @@ harness with a CLI (``python -m sparsekit`` or the ``sparsekit`` script).
 
 from .convex import (
     InfeasibleError,
-    LpProblem,
     RwBounds,
     RwConfig,
     SolverError,
     bp_denoise,
     bp_equality,
-    l1_lp_problem,
     reweighted_l1,
     rw_constants,
     rw_error_recursion,
@@ -51,12 +49,9 @@ from .kaczmarz import KaczmarzRun, project_row, rk_solve, rk_theory
 from .linalg import (
     DivergenceError,
     LsConfig,
-    adjoint_matvec,
     extreme_singular_values,
     least_squares,
-    matvec,
     pseudoinverse_apply,
-    restrict_columns,
     support,
     top_k,
 )

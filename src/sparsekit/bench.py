@@ -55,6 +55,8 @@ class ExperimentGrid:
             raise ValueError("trials must be >= 1")
         if self.noise_mode not in ("measurement", "signal"):
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
+        if not self.m_values or not self.s_values:
+            raise ValueError("m_values and s_values must be non-empty")
         for m in self.m_values:
             if m > self.d:
                 warnings.warn(f"cell with m={m} > d={self.d}", stacklevel=2)
@@ -176,22 +178,26 @@ def _map_trials(grid, s, m, worker=_one_trial):
     return [worker(grid, s, m, t) for t in range(grid.trials)]
 
 
-def run_phase_transition(grid):
-    """Success counts and mean errors over the (s, m) grid."""
-    results = []
+def _cells(grid):
+    """``(s, m, trial results)`` for every cell of the grid, s-major."""
     for s in grid.s_values:
         for m in grid.m_values:
-            trials = _map_trials(grid, s, m)
-            results.append(CellResult(
-                grid.algorithm, grid.d, m, s, grid.trials, grid.seed,
-                success_count=sum(t["success"] for t in trials),
-                mean_normalized_error=float(
-                    np.mean([t["normalized"] for t in trials])),
-                mean_iterations=float(
-                    np.mean([t["iterations"] for t in trials])),
-                mean_runtime=float(np.mean([t["runtime"] for t in trials])),
-            ))
-    return results
+            yield s, m, _map_trials(grid, s, m)
+
+
+def run_phase_transition(grid):
+    """Success counts and mean errors over the (s, m) grid."""
+    return [
+        CellResult(
+            grid.algorithm, grid.d, m, s, grid.trials, grid.seed,
+            success_count=sum(t["success"] for t in trials),
+            mean_normalized_error=float(
+                np.mean([t["normalized"] for t in trials])),
+            mean_iterations=float(np.mean([t["iterations"] for t in trials])),
+            mean_runtime=float(np.mean([t["runtime"] for t in trials])),
+        )
+        for s, m, trials in _cells(grid)
+    ]
 
 
 def run_trend(grid, level=0.99):
@@ -220,25 +226,27 @@ def run_noise_study(grid):
     if grid.noise_norm <= 0 and grid.noise_fraction <= 0:
         raise ValueError("noise study needs a positive noise level")
     rows = []
-    for s in grid.s_values:
-        for m in grid.m_values:
-            trials = _map_trials(grid, s, m)
-            ratios = []
-            for t in trials:
-                if grid.noise_mode == "measurement":
-                    ratios.append(t["error"] / t["e_norm"])
-                else:
-                    z = t["x"]
-                    zs = prune(z, s)
-                    denom = float(np.linalg.norm(z - zs, 1)) / np.sqrt(s)
-                    ratios.append(
-                        float(np.linalg.norm(t["estimate"] - zs)) / denom)
-            rows.append({
-                "algo": grid.algorithm, "d": grid.d, "m": m, "s": s,
-                "trials": grid.trials, "seed": grid.seed,
-                "noise_mode": grid.noise_mode,
-                "mean_error_ratio": float(np.mean(ratios)),
-            })
+    for s, m, trials in _cells(grid):
+        ratios = []
+        for t in trials:
+            if grid.noise_mode == "measurement":
+                error, denom = t["error"], t["e_norm"]
+            else:
+                zs = prune(t["x"], s)
+                error = float(np.linalg.norm(t["estimate"] - zs))
+                denom = (float(np.linalg.norm(t["x"] - zs, 1)) / np.sqrt(s)
+                         if s else 0.0)
+            if denom == 0:
+                raise ValueError(
+                    f"noise study cell s={s}, m={m}: the error ratio is "
+                    "undefined, its denominator is zero")
+            ratios.append(error / denom)
+        rows.append({
+            "algo": grid.algorithm, "d": grid.d, "m": m, "s": s,
+            "trials": grid.trials, "seed": grid.seed,
+            "noise_mode": grid.noise_mode,
+            "mean_error_ratio": float(np.mean(ratios)),
+        })
     return rows
 
 
@@ -253,24 +261,21 @@ def iteration_cap(algorithm, s):
 def run_iteration_study(grid):
     """Mean iteration counts per sparsity; checks the per-run caps."""
     rows = []
-    for s in grid.s_values:
-        for m in grid.m_values:
-            trials = _map_trials(grid, s, m)
-            cap = iteration_cap(grid.algorithm, s)
-            violations = 0
-            if cap is not None:
-                violations = sum(
-                    1 for t in trials if t["success"] and t["iterations"] > cap)
-            rows.append({
-                "algo": grid.algorithm, "d": grid.d, "m": m, "s": s,
-                "trials": grid.trials, "seed": grid.seed,
-                "mean_iterations": float(
-                    np.mean([t["iterations"] for t in trials])),
-                "max_iterations": int(
-                    max(t["iterations"] for t in trials)),
-                "cap": cap if cap is not None else "",
-                "violations": violations,
-            })
+    for s, m, trials in _cells(grid):
+        cap = iteration_cap(grid.algorithm, s)
+        violations = 0
+        if cap is not None:
+            violations = sum(
+                1 for t in trials if t["success"] and t["iterations"] > cap)
+        rows.append({
+            "algo": grid.algorithm, "d": grid.d, "m": m, "s": s,
+            "trials": grid.trials, "seed": grid.seed,
+            "mean_iterations": float(
+                np.mean([t["iterations"] for t in trials])),
+            "max_iterations": int(max(t["iterations"] for t in trials)),
+            "cap": cap if cap is not None else "",
+            "violations": violations,
+        })
     return rows
 
 

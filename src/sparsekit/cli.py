@@ -146,42 +146,36 @@ def _load_config(path):
     return values
 
 
-def _apply_config(parser, argv):
-    """Install config-file values as parser defaults, then parse flags."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv[1:])
+def _parse(parser, argv):
+    """Parse ``argv``; config-file values enter as flags placed ahead of
+    argv's own, so any flag given on the command line wins."""
     args = parser.parse_args(argv)
-    if known.config:
-        raw = _load_config(known.config)
-        sub_actions = {}
-        for action in parser._subparsers._group_actions[0].choices[argv[0]]._actions:
-            sub_actions[action.dest] = action
-        for key, val in raw.items():
-            if key == "config":
-                continue
-            if key not in sub_actions:
-                raise ValueError(f"unknown config key {key!r}")
-            action = sub_actions[key]
-            if isinstance(action.const, bool) or isinstance(action.default, bool):
-                parsed = val.lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
-                parsed = action.type(val)
-            else:
-                parsed = val
-            # flags given on the command line win over the config file
-            if f"--{key.replace('_', '-')}" not in argv:
-                setattr(args, key, parsed)
-    return args
+    if args.config is None:
+        return args
+    flags = []
+    for key, val in _load_config(args.config).items():
+        if key == "command" or key not in vars(args):
+            raise ValueError(f"unknown config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):
+            if val.lower() in ("1", "true", "yes", "on"):
+                flags.append(flag)
+        else:
+            flags.append(f"{flag}={val}")
+    return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
-def _emit(rows, args):
-    text = rows_to_csv(rows) if args.format == "csv" else rows_to_jsonl(rows)
+def _write(text, args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(rows, args):
+    _write(rows_to_csv(rows) if args.format == "csv" else rows_to_jsonl(rows),
+           args)
 
 
 def _grid_from_args(args):
@@ -199,7 +193,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = _apply_config(parser, argv)
+        args = _parse(parser, argv)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -229,15 +223,9 @@ def main(argv=None):
             _emit(bench.run_rw_bounds(args.mu, eps_list, delta_list,
                                       args.tol), args)
         elif args.command == "ric":
-            out = _run_ric(args)
-            text = json.dumps(out, sort_keys=True) + "\n"
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            _write(json.dumps(_run_ric(args), sort_keys=True) + "\n", args)
         elif args.command == "recover":
-            _run_recover(args)
+            _write(json.dumps(_run_recover(args), sort_keys=True) + "\n", args)
     except (ValueError, OSError, EnumerationCapError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -277,20 +265,10 @@ def _run_recover(args):
     x_hat, iterations = bench.run_algorithm(args.algo, A, u, s, e_norm,
                                             e_norm / np.sqrt(A.shape[0]))
     err = float(np.linalg.norm(x_hat - x))
-    report = {
+    return {
         "algorithm": args.algo, "m": int(A.shape[0]), "d": int(A.shape[1]),
         "s": s, "iterations": iterations, "error": err,
         "success": bool(err <= bench.SUCCESS_THRESHOLD),
         "support": [int(i) for i in np.flatnonzero(np.abs(x_hat) > 1e-8)],
         "estimate": [float(v) for v in x_hat],
     }
-    text = json.dumps(report, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

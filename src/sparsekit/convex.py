@@ -30,36 +30,6 @@ FEAS_CONTRACT = 1e-8
 GAP_CONTRACT = 1e-6
 
 
-@dataclass
-class LpProblem:
-    """Dense LP data for the recast: variables stacked as (z, t)."""
-
-    c: np.ndarray
-    A_ub: np.ndarray
-    b_ub: np.ndarray
-    A_eq: np.ndarray
-    b_eq: np.ndarray
-
-    @property
-    def n_vars(self):
-        return self.c.size
-
-
-def l1_lp_problem(A, u):
-    """Build the LP whose optimum matches min ||z||_1 s.t. Az = u."""
-    A = as_matrix(A)
-    m, d = A.shape
-    u = as_vector(u, m, "u")
-    eye = np.eye(d)
-    return LpProblem(
-        c=np.concatenate([np.zeros(d), np.ones(d)]),
-        A_ub=np.block([[eye, -eye], [-eye, -eye]]),
-        b_ub=np.zeros(2 * d),
-        A_eq=np.hstack([A, np.zeros((m, d))]),
-        b_eq=u.copy(),
-    )
-
-
 def _scale_columns(A, weights, d):
     if weights is None:
         return A, None

@@ -376,7 +376,9 @@ def cosamp(A, u, cfg, keep_history=False):
             a = prune(a + b, s)
         else:
             T = np.union1d(omega, cur).astype(np.intp)
-            assert T.size <= 3 * s
+            if T.size > 3 * s:
+                raise RuntimeError(
+                    f"cosamp merged support has {T.size} > 3s={3 * s} columns")
             b = pseudoinverse_apply(A, T, u, cfg.ls, z0=a)
             a = prune(b, s)
         v = u - A @ a

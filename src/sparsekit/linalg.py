@@ -1,7 +1,7 @@
 """Deterministic dense linear algebra kernels.
 
-Products, column restriction, iterative least squares (Richardson and
-conjugate gradient on the normal equations), extreme singular values via
+Input validation, iterative least squares (Richardson and conjugate
+gradient on the normal equations), extreme singular values via
 cyclic Jacobi on the Gram matrix, and magnitude top-k selection.  Everything
 here is a pure function of its inputs; no randomness, no shared state.
 """
@@ -51,6 +51,8 @@ def as_vector(x, length=None, name="vector"):
     x = np.asarray(x, dtype=float).reshape(-1)
     if length is not None and x.size != length:
         raise ValueError(f"{name} has length {x.size}, expected {length}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} entries must be finite")
     return x
 
 
@@ -63,27 +65,6 @@ def as_index_set(indices, d):
         if np.any(np.diff(idx) <= 0):
             raise ValueError("index set must be strictly increasing")
     return idx
-
-
-def matvec(A, x):
-    """Dense product A @ x."""
-    A = as_matrix(A)
-    x = as_vector(x, A.shape[1], "x")
-    return A @ x
-
-
-def adjoint_matvec(A, v):
-    """Dense product A.T @ v."""
-    A = as_matrix(A)
-    v = as_vector(v, A.shape[0], "v")
-    return A.T @ v
-
-
-def restrict_columns(A, T):
-    """The m x |T| submatrix of the columns listed in T."""
-    A = as_matrix(A)
-    idx = as_index_set(T, A.shape[1])
-    return A[:, idx]
 
 
 def least_squares(A_T, u, z0=None, cfg=None):

@@ -17,6 +17,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             small_grid(algo="magic")
 
+    @pytest.mark.parametrize("field", ["m_values", "s_values"])
+    def test_empty_values(self, field):
+        with pytest.raises(ValueError, match="non-empty"):
+            small_grid(**{field: ()})
+
     def test_m_larger_than_d_warns(self):
         with pytest.warns(UserWarning):
             small_grid(m_values=(64,))
@@ -87,6 +92,13 @@ class TestNoiseStudy:
     def test_needs_noise(self):
         with pytest.raises(ValueError):
             bench.run_noise_study(small_grid())
+
+    @pytest.mark.parametrize("mode", ["measurement", "signal"])
+    def test_zero_sparsity_ratio_is_an_error(self, mode):
+        grid = small_grid(s_values=(1, 0), trials=2, noise_fraction=0.1,
+                          noise_mode=mode)
+        with pytest.raises(ValueError, match="s=0, m=16"):
+            bench.run_noise_study(grid)
 
     def test_measurement_ratio_bounded(self):
         grid = small_grid(algo="cosamp", d=128, m_values=(96,), s_values=(2,),

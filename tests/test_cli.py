@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sparsekit.cli import main
 from sparsekit.ensembles import EnsembleSpec, SignalSpec, gen_matrix, gen_signal, save_matrix_csv, save_vector_csv
@@ -58,8 +63,31 @@ class TestPhase:
         ms = [line.split(",")[2] for line in out.strip().splitlines()[1:]]
         assert ms == ["8", "16", "24"]
 
+    @pytest.mark.parametrize("command", ["phase", "trend", "noise", "iters"])
+    def test_empty_range_is_exit_2(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--d", "32", "--m", "8:4",
+                                 "--s", "1", "--trials", "2",
+                                 "--noise-norm", "0.1")
+        assert code == 2 and out == "" and "non-empty" in err
+
+    def test_optimized_interpreter_gives_same_bytes(self):
+        # ``python -O`` strips asserts; no check may depend on one
+        argv = ["-m", "sparsekit", "phase", "--algo", "cosamp", "--d", "64",
+                "--m", "24", "--s", "4", "--trials", "3", "--seed", "7"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *argv], env=env,
+                           capture_output=True, check=True, timeout=120).stdout
+            for flags in ([], ["-O"]))
+        assert plain.startswith(b"algo,") and plain == optimized
+
 
 class TestConfigFile:
+    PHASE = ("phase", "--algo", "omp", "--d", "32", "--s", "1", "--seed", "1")
+
     def test_config_sets_defaults_flags_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("algo = romp\ntrials = 4\nd = 32\n")
@@ -77,10 +105,44 @@ class TestConfigFile:
 
     def test_unknown_key_is_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus = 1\n")
-        code, _, err = run_cli(capsys, "phase", "--config", str(cfg),
-                               "--m", "8", "--s", "1")
-        assert code == 2 and "bogus" in err
+        for key in ("bogus", "command"):
+            cfg.write_text(f"{key} = 1\n")
+            code, _, err = run_cli(capsys, "phase", "--config", str(cfg),
+                                   "--m", "8", "--s", "1")
+            assert code == 2 and "config error" in err and key in err
+
+    @pytest.mark.parametrize("flags, column, value", [
+        (("--m", "16"), 2, "16"),
+        (("--m=16",), 2, "16"),
+        (("--tri", "3"), 4, "3"),
+    ], ids=["space", "equals", "abbreviated"])
+    def test_every_flag_form_beats_config(self, capsys, tmp_path, flags,
+                                          column, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m = 24\ntrials = 4\n")
+        code, out, _ = run_cli(capsys, *self.PHASE, "--config", str(cfg),
+                               *flags)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[column] == value
+
+    def test_bad_config_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("m = 1:2:3:4\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*self.PHASE, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "usage:" in err and "bad range" in err
+        assert "Traceback" not in err
+
+    def test_store_true_key(self, capsys, tmp_path):
+        cfg = tmp_path / "signs.cfg"
+        cfg.write_text("random-signs = yes\n")
+        cell = (*self.PHASE, "--m", "8", "--s", "4", "--trials", "3")
+        _, from_config, _ = run_cli(capsys, *cell, "--config", str(cfg))
+        _, from_flag, _ = run_cli(capsys, *cell, "--random-signs")
+        _, without, _ = run_cli(capsys, *cell)
+        assert from_config == from_flag != without
 
 
 class TestOtherSubcommands:
@@ -95,6 +157,14 @@ class TestOtherSubcommands:
                                "--m", "24", "--s", "2", "--trials", "3",
                                "--noise-norm", "0.2")
         assert code == 0 and "mean_error_ratio" in out.splitlines()[0]
+
+    @pytest.mark.parametrize("mode", ["measurement", "signal"])
+    def test_noise_zero_sparsity_is_exit_2(self, capsys, mode):
+        code, out, err = run_cli(capsys, "noise", "--d", "32", "--m", "16",
+                                 "--s", "0,1", "--trials", "2",
+                                 "--noise-fraction", "0.1",
+                                 "--noise-mode", mode)
+        assert code == 2 and out == "" and "s=0" in err
 
     def test_iters(self, capsys):
         code, out, _ = run_cli(capsys, "iters", "--algo", "romp", "--d", "32",
@@ -158,3 +228,15 @@ class TestRecover:
         code, _, err = run_cli(capsys, "recover", "--matrix", str(amat),
                                "--signal", str(sig))
         assert code == 2
+
+    def test_non_finite_signal_is_exit_2(self, capsys, tmp_path):
+        A = gen_matrix(EnsembleSpec("gaussian", 12, 24, seed=9))
+        x = gen_signal(SignalSpec(24, 2, seed=10))
+        x[3] = np.nan
+        amat = tmp_path / "A.csv"
+        sig = tmp_path / "x.csv"
+        save_matrix_csv(amat, A, seed=9)
+        save_vector_csv(sig, x, seed=10)
+        code, out, err = run_cli(capsys, "recover", "--matrix", str(amat),
+                                 "--signal", str(sig), "--algo", "cosamp")
+        assert code == 2 and out == "" and "finite" in err

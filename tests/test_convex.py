@@ -9,7 +9,6 @@ from sparsekit.convex import (
     _bp_equality_full,
     bp_denoise,
     bp_equality,
-    l1_lp_problem,
     reweighted_l1,
     rw_constants,
     rw_error_recursion,
@@ -24,23 +23,6 @@ from helpers import l1_vertex_oracle
 
 
 class TestLpRecast:
-    def test_objective_is_t_block(self):
-        A = gen_matrix(EnsembleSpec("gaussian", 4, 6, seed=1))
-        lp = l1_lp_problem(A, np.ones(4))
-        assert lp.n_vars == 12
-        np.testing.assert_array_equal(lp.c[:6], np.zeros(6))
-        np.testing.assert_array_equal(lp.c[6:], np.ones(6))
-
-    def test_constraints_encode_absolute_value(self):
-        A = gen_matrix(EnsembleSpec("gaussian", 3, 5, seed=2))
-        lp = l1_lp_problem(A, np.zeros(3))
-        z = CounterRng(3).normal(5)
-        t = np.abs(z) + 0.1
-        w = np.concatenate([z, t])
-        assert np.all(lp.A_ub @ w <= lp.b_ub)
-        t_bad = np.abs(z) - 0.05
-        assert np.any(lp.A_ub @ np.concatenate([z, t_bad]) > lp.b_ub)
-
     def test_complementarity_at_optimum(self):
         A = gen_matrix(EnsembleSpec("gaussian", 8, 16, seed=3))
         x = gen_signal(SignalSpec(16, 2, seed=4))

@@ -78,6 +78,14 @@ class TestOmp:
         assert np.array_equal(rep.estimate, np.zeros(4))
         assert rep.iterations == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples(self, bad):
+        A = gen_matrix(EnsembleSpec("gaussian", 16, 32, seed=3))
+        u = A @ gen_signal(SignalSpec(32, 2, seed=4))
+        u[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            omp(A, u, 2)
+
 
 class TestStomp:
     def test_zero_samples_one_stage(self):
@@ -227,6 +235,14 @@ class TestCosamp:
         rep = cosamp(np.eye(8), np.zeros(8), CosampConfig(2))
         assert rep.iterations == 0
         assert np.array_equal(rep.estimate, np.zeros(8))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_samples(self, bad):
+        A = gen_matrix(EnsembleSpec("gaussian", 32, 64, seed=20))
+        u = A @ gen_signal(SignalSpec(64, 4, seed=21))
+        u[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cosamp(A, u, CosampConfig(4))
 
     def test_fixed_iteration_budget(self):
         A = gen_matrix(EnsembleSpec("gaussian", 16, 64, seed=18))

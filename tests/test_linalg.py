@@ -4,12 +4,9 @@ import pytest
 from sparsekit.linalg import (
     DivergenceError,
     LsConfig,
-    adjoint_matvec,
     extreme_singular_values,
     least_squares,
-    matvec,
     pseudoinverse_apply,
-    restrict_columns,
     top_k,
 )
 from sparsekit.rng import CounterRng, stream_seed
@@ -21,60 +18,6 @@ def near_identity_columns(m, k, noise, seed):
     G = rng.normal(m * k).reshape(m, k)
     Q, _ = np.linalg.qr(G)
     return Q + noise * rng.normal(m * k).reshape(m, k)
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(2), [3, -1]), [3, -1])
-
-    def test_hand_example(self):
-        A = [[1, 0, 1], [0, 1, 1]]
-        assert np.array_equal(matvec(A, [1, 1, 1]), [2, 2])
-
-    def test_zero_input(self):
-        A = CounterRng(1).normal(12).reshape(3, 4)
-        assert np.array_equal(matvec(A, np.zeros(4)), np.zeros(3))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(np.eye(2), [1, 2, 3])
-
-
-class TestAdjointMatvec:
-    def test_identity(self):
-        assert np.array_equal(adjoint_matvec(np.eye(2), [1, 2]), [1, 2])
-
-    def test_hand_example(self):
-        A = [[1, 0], [0, 1], [1, 1]]
-        assert np.array_equal(adjoint_matvec(A, [1, 1, 1]), [2, 2])
-
-    def test_zero(self):
-        A = CounterRng(2).normal(12).reshape(4, 3)
-        assert np.array_equal(adjoint_matvec(A, np.zeros(4)), np.zeros(3))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            adjoint_matvec(np.eye(3), [1, 2])
-
-
-class TestRestrictColumns:
-    def test_all_columns(self):
-        A = CounterRng(3).normal(6).reshape(2, 3)
-        assert np.array_equal(restrict_columns(A, [0, 1, 2]), A)
-
-    def test_selection(self):
-        assert np.array_equal(restrict_columns([[1, 2, 3]], [0, 2]), [[1, 3]])
-
-    def test_empty(self):
-        assert restrict_columns(np.eye(3), []).shape == (3, 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            restrict_columns(np.eye(2), [0, 2])
-
-    def test_not_increasing(self):
-        with pytest.raises(ValueError):
-            restrict_columns(np.eye(3), [2, 0])
 
 
 class TestLeastSquares:
@@ -155,6 +98,18 @@ class TestPseudoinverseApply:
         A = CounterRng(13).normal(6).reshape(2, 3)
         with pytest.raises(ValueError):
             pseudoinverse_apply(A, [0, 1, 2], [1.0, 1.0])
+
+    def test_sample_length_mismatch(self):
+        with pytest.raises(ValueError, match="length"):
+            pseudoinverse_apply(np.eye(3), [0], [1.0, 2.0])
+
+    def test_out_of_range(self):
+        with pytest.raises(IndexError):
+            pseudoinverse_apply(np.eye(2), [0, 2], [1.0, 1.0])
+
+    def test_not_increasing(self):
+        with pytest.raises(ValueError):
+            pseudoinverse_apply(np.eye(3), [2, 0], [1.0, 1.0, 1.0])
 
 
 class TestExtremeSingularValues:
