@@ -27,6 +27,6 @@ for noise_norm in (0.05, 0.25, 0.5):
 
 # reweighting sharpens the noisy estimate over a few iterations
 e = sk.gen_noise(sk.NoiseSpec(m, 0.5, seed=24))
-rep = sk.reweighted_l1(A, u + e, sk.RwConfig(epsilon=0.5, max_iters=6), x_ref=x)
+rep = sk.reweighted_l1(A, u + e, sk.RwConfig(epsilon=0.5, max_iters=6))
 print("\nreweighted error per iteration:",
-      ["%.3f" % v for v in rep.reference_errors])
+      ["%.3f" % np.linalg.norm(x - est) for est in rep.estimate_history])

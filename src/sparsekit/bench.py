@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kaczmarz  # kaczmarz.rk_theory: perfbench traces module attributes
 from .convex import RwConfig, bp_denoise, bp_equality, reweighted_l1, rw_error_recursion
 from .ensembles import EnsembleSpec, NoiseSpec, SignalSpec, gen_matrix, gen_noise, gen_signal
 from .greedy import CosampConfig, StompConfig, cosamp, omp, prune, romp, stomp
@@ -290,6 +291,8 @@ def run_kaczmarz_study(m, n, trials, iters, noise_fraction, seed,
     """
     if m < n:
         raise ValueError("need m >= n (overdetermined system)")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rows = []
     x_true = np.zeros(n)
     for trial in range(trials):
@@ -300,8 +303,7 @@ def run_kaczmarz_study(m, n, trials, iters, noise_fraction, seed,
         e = gen_noise(NoiseSpec(m, noise_fraction, stream_seed(tseed, "noise")))
         x0 = gen_noise(NoiseSpec(n, 1.0, stream_seed(tseed, "start")))
         run = rk_solve(A, e, x0, iters, seed=tseed,
-                       log_stride=log_stride, x_ref=x_true, residual=e)
-        threshold = float(np.sqrt(run.R) * run.gamma)
+                       log_stride=log_stride, x_ref=x_true)
         if curve:
             for k, err in run.iterates_logged:
                 rows.append({
@@ -309,11 +311,12 @@ def run_kaczmarz_study(m, n, trials, iters, noise_fraction, seed,
                     "iteration": k, "error": err,
                 })
         else:
+            R, gamma = kaczmarz.rk_theory(A, e)
             rows.append({
                 "m": m, "n": n, "trial": trial, "iters": iters,
                 "noise_fraction": noise_fraction, "seed": seed,
                 "final_error": run.iterates_logged[-1][1],
-                "threshold": threshold, "R": run.R, "gamma": run.gamma,
+                "threshold": float(np.sqrt(R) * gamma), "R": R, "gamma": gamma,
             })
     return rows
 

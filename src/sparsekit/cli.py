@@ -11,10 +11,10 @@ import sys
 
 import numpy as np
 
-from . import bench
+from . import bench, ensembles
 from .bench import ExperimentGrid, rows_to_csv, rows_to_jsonl
 from .ensembles import EnsembleSpec, NoiseSpec, gen_matrix, gen_noise, load_csv
-from .rip import EnumerationCapError, ric_exact, ric_monte_carlo
+from .rip import ENUMERATION_CAP, EnumerationCapError, ric_exact, ric_monte_carlo
 from .rng import stream_seed
 
 EXIT_OK = 0
@@ -49,10 +49,9 @@ def _add_grid_flags(p):
                    help="sparsity levels, list or start:stop[:step]")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ensemble", default="gaussian",
-                   choices=("gaussian", "bernoulli", "partial_dct"))
+    p.add_argument("--ensemble", default="gaussian", choices=ensembles.FAMILIES)
     p.add_argument("--signal-kind", default="flat",
-                   choices=("flat", "compressible"))
+                   choices=ensembles.SIGNAL_KINDS)
     p.add_argument("--signal-p", type=float, default=0.5)
     p.add_argument("--random-signs", action="store_true")
     p.add_argument("--noise-norm", type=float, default=0.0)
@@ -109,12 +108,11 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--ensemble", default="gaussian",
-                   choices=("gaussian", "bernoulli", "partial_dct"))
+    p.add_argument("--ensemble", default="gaussian", choices=ensembles.FAMILIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", default="exact", choices=("exact", "monte_carlo"))
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--cap", type=int, default=2_000_000)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     _add_output_flags(p)
 
     p = sub.add_parser("recover", help="single-instance debugging run")

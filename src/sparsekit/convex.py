@@ -28,6 +28,12 @@ class InfeasibleError(SolverError):
 # distance of its objective from the optimum
 FEAS_CONTRACT = 1e-8
 GAP_CONTRACT = 1e-6
+BP_FEAS_TOL = 1e-10          # bp_equality stops at this feasibility,
+BP_GAP_TOL = 1e-10           # this relative duality gap,
+BP_MAX_ITERS = 60            # or this many interior-point steps
+BARRIER_GAP_TARGET = 1e-8    # bp_denoise: final duality-gap target,
+NEWTON_TOL = 1e-6            # Newton decrement tolerance and
+MAX_NEWTON = 60              # Newton-step cap per barrier stage
 
 
 def _scale_columns(A, weights, d):
@@ -39,15 +45,13 @@ def _scale_columns(A, weights, d):
     return A / w[None, :], w
 
 
-def bp_equality(A, u, weights=None, feas_tol=1e-10, gap_tol=1e-10,
-                max_iters=60):
+def bp_equality(A, u, weights=None):
     """Minimum (weighted) l1-norm solution of Az = u."""
-    z, _ = _bp_equality_full(A, u, weights, feas_tol, gap_tol, max_iters)
+    z, _ = _bp_equality_full(A, u, weights)
     return z
 
 
-def _bp_equality_full(A, u, weights=None, feas_tol=1e-10, gap_tol=1e-10,
-                      max_iters=60):
+def _bp_equality_full(A, u, weights=None):
     A = as_matrix(A)
     m, d = A.shape
     u = as_vector(u, m, "u")
@@ -85,11 +89,11 @@ def _bp_equality_full(A, u, weights=None, feas_tol=1e-10, gap_tol=1e-10,
         return (sdg <= GAP_CONTRACT * max(1.0, float(np.sum(t)))
                 and np.linalg.norm(A @ z - u) <= FEAS_CONTRACT * uscale)
 
-    for _ in range(max_iters):
+    for _ in range(BP_MAX_ITERS):
         sdg = -(fu1 @ lam1 + fu2 @ lam2)
         obj = float(np.sum(t))
-        if (sdg <= gap_tol * max(1.0, obj)
-                and np.linalg.norm(A @ z - u) <= feas_tol * uscale):
+        if (sdg <= BP_GAP_TOL * max(1.0, obj)
+                and np.linalg.norm(A @ z - u) <= BP_FEAS_TOL * uscale):
             return (z / w if w is not None else z), t
         tau = mu * 2 * d / sdg
 
@@ -157,8 +161,7 @@ def _bp_equality_full(A, u, weights=None, feas_tol=1e-10, gap_tol=1e-10,
     raise SolverError("interior-point method hit the iteration limit")
 
 
-def bp_denoise(A, u, eps, weights=None, gap_target=1e-8, newton_tol=1e-6,
-               max_newton=60):
+def bp_denoise(A, u, eps, weights=None):
     """Minimum (weighted) l1-norm solution with ||Az - u||_2 <= eps."""
     A = as_matrix(A)
     m, d = A.shape
@@ -181,15 +184,16 @@ def bp_denoise(A, u, eps, weights=None, gap_target=1e-8, newton_tol=1e-6,
 
     tau = max((2 * d + 1) / np.sum(t), 1.0)
     mu = 10.0
-    n_outer = int(np.ceil(np.log((2 * d + 1) / (tau * gap_target)) / np.log(mu)))
+    n_outer = int(np.ceil(
+        np.log((2 * d + 1) / (tau * BARRIER_GAP_TARGET)) / np.log(mu)))
 
     for _ in range(max(n_outer, 1)):
-        z, t, r = _qc_newton(A, AtA, u, eps, z, t, tau, newton_tol, max_newton)
+        z, t, r = _qc_newton(A, AtA, u, eps, z, t, tau)
         tau *= mu
     return z / w if w is not None else z
 
 
-def _qc_newton(A, AtA, u, eps, z, t, tau, newton_tol, max_newton):
+def _qc_newton(A, AtA, u, eps, z, t, tau):
     r = A @ z - u
     fu1 = z - t
     fu2 = -z - t
@@ -200,7 +204,7 @@ def _qc_newton(A, AtA, u, eps, z, t, tau, newton_tol, max_newton):
             - np.log(-fe)
 
     fval = value(t, fu1, fu2, fe)
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         atr = A.T @ r
         ntgz = 1.0 / fu1 - 1.0 / fu2 + atr / fe
         ntgt = -tau - 1.0 / fu1 - 1.0 / fu2
@@ -219,7 +223,7 @@ def _qc_newton(A, AtA, u, eps, z, t, tau, newton_tol, max_newton):
 
         # decrement uses the gradient (= -[ntgz; ntgt]) against the step
         decrement = float(ntgz @ dz + ntgt @ dt)
-        if decrement / 2.0 <= newton_tol:
+        if decrement / 2.0 <= NEWTON_TOL:
             break
 
         # longest step keeping every constraint strictly feasible
@@ -292,12 +296,13 @@ class RwConfig:
         return a
 
 
-def reweighted_l1(A, u, cfg=None, x_ref=None):
+def reweighted_l1(A, u, cfg=None):
     """Iteratively reweighted l1-minimization.
 
     Starts from unit weights, then resets them to 1/(|estimate| + a_k)
-    after each solve.  When ``x_ref`` is provided the per-iteration errors
-    ||x_ref - estimate_k||_2 are recorded in the report.
+    after each solve.  The report's ``estimate_history`` holds every
+    solve's estimate, so errors against a reference signal are computed by
+    the caller.
     """
     A = as_matrix(A)
     m, d = A.shape
@@ -306,19 +311,15 @@ def reweighted_l1(A, u, cfg=None, x_ref=None):
     weights = np.ones(d)
     estimates = []
     residuals = []
-    errors = [] if x_ref is not None else None
     x = np.zeros(d)
     for k in range(1, cfg.max_iters + 1):
         x = bp_denoise(A, u, cfg.epsilon, weights=weights)
         estimates.append(x.copy())
         residuals.append(float(np.linalg.norm(u - A @ x)))
-        if errors is not None:
-            errors.append(float(np.linalg.norm(x_ref - x)))
         weights = 1.0 / (np.abs(x) + cfg.stability(k))
     supp = support(x, 1e-8 * max(1.0, float(np.max(np.abs(x)))))
     return RecoveryReport(x, supp, cfg.max_iters, residuals,
-                          HALT_MAX_ITERATIONS, estimate_history=estimates,
-                          reference_errors=errors)
+                          HALT_MAX_ITERATIONS, estimate_history=estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +359,7 @@ def tail_noise_level(x, s, eps):
     )
 
 
-def rw_error_recursion(mu, eps, delta, tol=1e-3, max_iters=100_000):
+def rw_error_recursion(mu, eps, delta, tol=1e-3):
     """Evaluate the per-iteration error bound sequence and its limit.
 
     E(1) = 2 alpha eps / (1 - rho); thereafter
@@ -378,7 +379,7 @@ def rw_error_recursion(mu, eps, delta, tol=1e-3, max_iters=100_000):
     L = 2.0 * alpha * eps / (1.0 + np.sqrt(1.0 - ratio - ratio * rho))
     E = [2.0 * alpha * eps / (1.0 - rho)]
     while abs(E[-1] - L) > tol:
-        if len(E) >= max_iters:
+        if len(E) >= 100_000:
             raise SolverError("error recursion failed to approach its limit")
         frac = E[-1] / (mu - E[-1])
         E.append((1.0 + frac) * alpha * eps / (1.0 - rho * frac))

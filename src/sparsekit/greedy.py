@@ -29,6 +29,9 @@ from .reports import (
 )
 
 RESIDUAL_TOL = 1e-12
+ROMP_RESIDUAL_TOL = 1e-6
+# three conjugate-gradient steps, warm-started from the running estimate
+COSAMP_LS = LsConfig("conjugate_gradient", 3, 1e-12)
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,6 @@ class StompConfig:
 
     t: float = 2.0
     max_stages: int = 10
-    residual_tol: float = RESIDUAL_TOL
 
     def __post_init__(self):
         if self.t <= 0:
@@ -54,18 +56,16 @@ class CosampConfig:
     count, default 6(s+1)), ``sample_norm`` (halt_value = epsilon on
     ||v||), or ``proxy_infnorm`` (halt_value = eta; halts when
     ||y||_inf <= eta/sqrt(2s)).  Norm-based modes keep ``max_iters`` as a
-    safety cap (default 6(s+1)).  The least-squares step defaults to three
-    conjugate-gradient iterations warm-started from the running estimate.
-    ``residual_update`` switches to the variant that estimates the residual
-    from the current samples instead of re-estimating the whole signal.
+    safety cap (default 6(s+1)).  Every run also halts once ||v|| <=
+    ``residual_tol``.  The least-squares step is always ``COSAMP_LS``:
+    three conjugate-gradient iterations warm-started from the running
+    estimate.
     """
 
     s: int
     halting: str = "fixed_iterations"
     halt_value: float | None = None
-    ls: LsConfig = LsConfig("conjugate_gradient", 3, 1e-12)
     max_iters: int | None = None
-    residual_update: bool = False
     residual_tol: float = RESIDUAL_TOL
 
     def __post_init__(self):
@@ -193,7 +193,7 @@ def regularize(indices, values):
     return np.sort(indices[order[best[0]:best[1]]])
 
 
-def omp(A, u, s, ls=None):
+def omp(A, u, s):
     """Orthogonal matching pursuit: s rounds of single-index selection.
 
     Each round picks the largest coordinate of the proxy A'r among the
@@ -219,7 +219,7 @@ def omp(A, u, s, ls=None):
         y[I] = -1.0
         lam = int(np.argmax(y))
         I = np.sort(np.append(I, lam))
-        x_hat = pseudoinverse_apply(A, I, u, ls)
+        x_hat = pseudoinverse_apply(A, I, u)
         r = u - A @ x_hat
         it += 1
         history.append(float(np.linalg.norm(r)))
@@ -229,7 +229,7 @@ def omp(A, u, s, ls=None):
     return RecoveryReport(x_hat, I, it, history, halt)
 
 
-def stomp(A, u, cfg=None, ls=None):
+def stomp(A, u, cfg=None):
     """Stagewise OMP: threshold the proxy at t * ||r||/sqrt(m) per stage."""
     A = as_matrix(A)
     m, d = A.shape
@@ -255,10 +255,10 @@ def stomp(A, u, cfg=None, ls=None):
             keep = top_k(y[J], m - I.size)
             J = J[keep]
         I = np.union1d(I, J).astype(np.intp)
-        x_hat = pseudoinverse_apply(A, I, u, ls)
+        x_hat = pseudoinverse_apply(A, I, u)
         r = u - A @ x_hat
         history.append(float(np.linalg.norm(r)))
-        if np.linalg.norm(r) <= cfg.residual_tol:
+        if np.linalg.norm(r) <= RESIDUAL_TOL:
             halt = HALT_RESIDUAL_ZERO
             break
         if I.size >= m:
@@ -267,21 +267,19 @@ def stomp(A, u, cfg=None, ls=None):
     return RecoveryReport(x_hat, I, stages, history, halt)
 
 
-def romp(A, u, s, max_support=None, max_iters=None, ls=None,
-         keep_history=False, residual_tol=1e-6):
+def romp(A, u, s):
     """Regularized OMP: select up to s proxy coordinates, keep a maximal-
     energy comparable subset, re-fit, repeat.
 
-    Halts when the residual is (numerically) zero, the index set reaches
-    ``max_support`` (default 2s), or after ``max_iters`` rounds (default s).
+    Halts when the residual norm is at most ``ROMP_RESIDUAL_TOL``, the index
+    set reaches 2s columns, or after s rounds.  The report's
+    ``selection_history`` holds each round's selected subset.
     """
     A = as_matrix(A)
     m, d = A.shape
     u = as_vector(u, m, "u")
     if s < 1:
         raise ValueError("sparsity s must be >= 1")
-    max_support = 2 * s if max_support is None else max_support
-    max_iters = s if max_iters is None else max_iters
     if 2 * s > m:
         warnings.warn(
             f"romp with 2s={2 * s} > m={m} measurements is outside the "
@@ -290,16 +288,16 @@ def romp(A, u, s, max_support=None, max_iters=None, ls=None,
     x_hat = np.zeros(d)
     r = u.copy()
     history = []
-    selections = [] if keep_history else None
+    selections = []
     it = 0
     while True:
-        if np.linalg.norm(r) <= residual_tol:
+        if np.linalg.norm(r) <= ROMP_RESIDUAL_TOL:
             halt = HALT_RESIDUAL_ZERO
             break
-        if I.size >= max_support:
+        if I.size >= 2 * s:
             halt = HALT_SUPPORT_FULL
             break
-        if it >= max_iters:
+        if it >= s:
             halt = HALT_MAX_ITERATIONS
             break
         y = A.T @ r
@@ -315,23 +313,23 @@ def romp(A, u, s, max_support=None, max_iters=None, ls=None,
             # outside the recommended regime: keep the fit determined
             J0 = J0[top_k(y[J0], m - I.size)]
         I = np.union1d(I, J0).astype(np.intp)
-        x_hat = pseudoinverse_apply(A, I, u, ls)
+        x_hat = pseudoinverse_apply(A, I, u)
         r = u - A @ x_hat
         it += 1
         history.append(float(np.linalg.norm(r)))
-        if selections is not None:
-            selections.append(J0)
+        selections.append(J0)
     return RecoveryReport(x_hat, I, it, history, halt,
                           selection_history=selections)
 
 
-def cosamp(A, u, cfg, keep_history=False):
+def cosamp(A, u, cfg):
     """Compressive sampling matching pursuit.
 
     Per iteration: proxy from the current samples, identify 2s entries,
     merge with the running support (at most 3s columns), least-squares
     estimate warm-started from the previous approximation, prune to s,
-    update the samples.
+    update the samples.  The report's ``estimate_history`` holds the
+    estimate after each iteration.
     """
     A = as_matrix(A)
     m, d = A.shape
@@ -344,7 +342,7 @@ def cosamp(A, u, cfg, keep_history=False):
     a = np.zeros(d)
     v = u.copy()
     history = []
-    estimates = [] if keep_history else None
+    estimates = []
     cap = cfg.iteration_cap
     it = 0
     while True:
@@ -371,20 +369,14 @@ def cosamp(A, u, cfg, keep_history=False):
         if cur.size + omega.size > m:
             # outside the recommended regime: keep the fit determined
             omega = omega[top_k(y[omega], m - cur.size)]
-        if cfg.residual_update:
-            b = pseudoinverse_apply(A, omega, v, cfg.ls)
-            a = prune(a + b, s)
-        else:
-            T = np.union1d(omega, cur).astype(np.intp)
-            if T.size > 3 * s:
-                raise RuntimeError(
-                    f"cosamp merged support has {T.size} > 3s={3 * s} columns")
-            b = pseudoinverse_apply(A, T, u, cfg.ls, z0=a)
-            a = prune(b, s)
+        T = np.union1d(omega, cur).astype(np.intp)
+        if T.size > 3 * s:
+            raise RuntimeError(
+                f"cosamp merged support has {T.size} > 3s={3 * s} columns")
+        a = prune(pseudoinverse_apply(A, T, u, COSAMP_LS, z0=a), s)
         v = u - A @ a
         it += 1
         history.append(float(np.linalg.norm(v)))
-        if estimates is not None:
-            estimates.append(a.copy())
+        estimates.append(a.copy())
     return RecoveryReport(a, support(a), it, history, halt,
                           estimate_history=estimates)

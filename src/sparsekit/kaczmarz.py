@@ -3,7 +3,9 @@
 Rows are drawn with probability ||a_i||^2 / ||A||_F^2 via inverse-CDF
 binary search on the precomputed cumulative squared norms.  The solver
 itself never sees the true solution; error logging against a reference is
-supplied by the caller.
+supplied by the caller.  The convergence constant R and the noise level
+gamma are properties of the matrix and the residual, not of a run:
+``rk_theory`` computes them and ``rk_solve`` only sweeps.
 """
 
 from dataclasses import dataclass, field
@@ -18,10 +20,7 @@ from .rng import CounterRng, stream_seed
 class KaczmarzRun:
     iterates_logged: list        # (iteration, ||x_k - x_ref||) pairs
     final_estimate: np.ndarray
-    R: float                     # ||A^-1||^2 ||A||_F^2
-    gamma: float                 # max_i |r_i| / ||a_i||, 0 when noiseless
-    seed: int = 0
-    rows_visited: np.ndarray = field(default=None, repr=False)
+    rows_visited: np.ndarray = field(repr=False)
 
 
 def project_row(x, a, b):
@@ -55,12 +54,13 @@ def rk_theory(A, residual=None):
     return R, gamma
 
 
-def rk_solve(A, b, x0, iters, seed=0, log_stride=1, x_ref=None,
-             residual=None):
+def rk_solve(A, b, x0, iters, seed=0, log_stride=1, x_ref=None):
     """Run ``iters`` randomized row projections on the system A x = b.
 
     When ``x_ref`` is given, ||x_k - x_ref|| is logged at iteration 0,
-    every ``log_stride`` iterations, and at the final iterate.
+    every ``log_stride`` (>= 1) iterations, and at the final iterate.  Any
+    A without zero rows is accepted, including wide or rank-deficient ones;
+    callers that need the constants of the error bound call ``rk_theory``.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -68,6 +68,8 @@ def rk_solve(A, b, x0, iters, seed=0, log_stride=1, x_ref=None,
     x = as_vector(x0, n, "x0").copy()
     if iters < 0:
         raise ValueError("iters must be >= 0")
+    if log_stride < 1:
+        raise ValueError("log_stride must be >= 1")
     weights = np.einsum("ij,ij->i", A, A)
     if np.any(weights == 0):
         raise ValueError("matrix has a zero row")
@@ -85,6 +87,4 @@ def rk_solve(A, b, x0, iters, seed=0, log_stride=1, x_ref=None,
         x += ((b[i] - A[i] @ x) / weights[i]) * A[i]
         if x_ref is not None and (k % log_stride == 0 or k == iters):
             logged.append((k, float(np.linalg.norm(x - x_ref))))
-
-    R, gamma = rk_theory(A, residual)
-    return KaczmarzRun(logged, x, R, gamma, seed, rows)
+    return KaczmarzRun(logged, x, rows)

@@ -24,9 +24,9 @@ class RecoveryReport:
     """Outcome of one recovery run.
 
     ``residual_history`` holds the residual 2-norm after each completed
-    iteration.  The optional histories are populated when a run is asked to
-    keep them (per-iteration selections, estimates, or errors against a
-    caller-supplied reference).
+    iteration.  ``selection_history`` (ROMP) and ``estimate_history``
+    (CoSaMP, reweighted l1) hold one entry per iteration for the solvers
+    that fill them and are None otherwise.
     """
 
     estimate: np.ndarray
@@ -36,4 +36,3 @@ class RecoveryReport:
     halt_reason: str = HALT_MAX_ITERATIONS
     selection_history: list | None = None
     estimate_history: list | None = None
-    reference_errors: list | None = None

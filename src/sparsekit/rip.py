@@ -17,6 +17,11 @@ from .linalg import as_matrix
 from .rng import CounterRng, stream_seed
 
 
+# supports scanned per eigvalsh batch, and the default enumeration cap
+CHUNK = 4096
+ENUMERATION_CAP = 2_000_000
+
+
 class EnumerationCapError(RuntimeError):
     """Raised when exact enumeration would exceed the configured cap."""
 
@@ -40,10 +45,10 @@ class ConsequenceCheck:
     cases: int
 
 
-def _support_chunks(d, r, chunk):
+def _support_chunks(d, r):
     it = itertools.combinations(range(d), r)
     while True:
-        block = list(itertools.islice(it, chunk))
+        block = list(itertools.islice(it, CHUNK))
         if not block:
             return
         yield np.asarray(block, dtype=np.intp)
@@ -76,7 +81,7 @@ def _scan(A, support_iter):
     return best, best_witness, lower, upper, count
 
 
-def ric_exact(A, r, cap=2_000_000, chunk=4096):
+def ric_exact(A, r, cap=ENUMERATION_CAP):
     """Exact restricted isometry constant of order r by full enumeration."""
     A = as_matrix(A)
     d = A.shape[1]
@@ -88,11 +93,11 @@ def ric_exact(A, r, cap=2_000_000, chunk=4096):
             f"C({d},{r}) = {n_supports} supports exceeds cap {cap}; "
             "use ric_monte_carlo for a sampled lower bound"
         )
-    delta, witness, lower, upper, _ = _scan(A, _support_chunks(d, r, chunk))
+    delta, witness, lower, upper, _ = _scan(A, _support_chunks(d, r))
     return RicReport(r, max(delta, 0.0), "exact", witness, lower, upper)
 
 
-def ric_monte_carlo(A, r, trials, seed=0, chunk=4096):
+def ric_monte_carlo(A, r, trials, seed=0):
     """Sampled lower bound on the order-r constant.
 
     The t-th sampled support depends only on (seed, t), so enlarging
@@ -106,13 +111,13 @@ def ric_monte_carlo(A, r, trials, seed=0, chunk=4096):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if math.comb(d, r) <= trials:
-        delta, witness, lower, upper, _ = _scan(A, _support_chunks(d, r, chunk))
+        delta, witness, lower, upper, _ = _scan(A, _support_chunks(d, r))
     else:
         def sampled():
-            for start in range(0, trials, chunk):
+            for start in range(0, trials, CHUNK):
                 block = [
                     CounterRng(stream_seed(seed, "ric", t)).subset(d, r)
-                    for t in range(start, min(start + chunk, trials))
+                    for t in range(start, min(start + CHUNK, trials))
                 ]
                 yield np.asarray(block, dtype=np.intp)
 
@@ -125,7 +130,7 @@ def _projection_basis(A, idx):
     return Q
 
 
-def check_ric_consequences(A, s, trials=200, seed=0, cap=2_000_000):
+def check_ric_consequences(A, s, trials=200, seed=0):
     """Evaluate standard near-isometry inequalities on a seeded battery.
 
     Uses exact constants; each check records the worst lhs/rhs ratio over
@@ -135,12 +140,12 @@ def check_ric_consequences(A, s, trials=200, seed=0, cap=2_000_000):
     m, d = A.shape
     if not 1 <= 2 * s <= d:
         raise ValueError("need 1 <= 2s <= d")
-    eps = ric_exact(A, 2 * s, cap=cap).delta
+    eps = ric_exact(A, 2 * s).delta
     exact = {2 * s: eps}
 
     def delta_at(r):
         if r not in exact:
-            exact[r] = ric_exact(A, r, cap=cap).delta
+            exact[r] = ric_exact(A, r).delta
         return exact[r]
 
     rng = CounterRng(stream_seed(seed, "ric-consequences"))
@@ -193,7 +198,7 @@ def check_ric_consequences(A, s, trials=200, seed=0, cap=2_000_000):
     # order scaling: delta_{c r} <= c * delta_{2r} on exact values
     for r in range(1, s + 1):
         for c in range(2, 5):
-            if c * r > d or 2 * r > d or math.comb(d, c * r) > cap:
+            if c * r > d or 2 * r > d or math.comb(d, c * r) > ENUMERATION_CAP:
                 continue
             lhs = delta_at(c * r)
             rhs = c * delta_at(2 * r)

@@ -72,7 +72,7 @@ def test_02_romp_selection_majority_support():
             x = np.zeros(d)
             sup = rng.permutation(d)[:s]
             x[sup] = rng.normal(s) + np.sign(rng.normal(s))
-            rep = sk.romp(A, A @ x, s, keep_history=True)
+            rep = sk.romp(A, A @ x, s)
             supp_set = set(sup.tolist())
             for J0 in rep.selection_history:
                 hits = len(supp_set & set(J0.tolist()))
@@ -227,7 +227,7 @@ def test_06_halting_criteria():
         for eps in (2.0 * e_norm, 1.01 * e_norm):
             rep = sk.cosamp(A, u, sk.CosampConfig(
                 s, halting="sample_norm", halt_value=eps, max_iters=80,
-                residual_tol=0.0), keep_history=True)
+                residual_tol=0.0))
             ok &= rep.halt_reason == "sample_norm_criterion"
             ok &= np.linalg.norm(x - rep.estimate) <= 1.06 * (eps + e_norm)
             for a in [np.zeros(d)] + (rep.estimate_history or []):
@@ -238,7 +238,7 @@ def test_06_halting_criteria():
         eta = 2.0 * np.sqrt(2 * s) * np.max(np.abs(A.T @ e))
         rep = sk.cosamp(A, u, sk.CosampConfig(
             s, halting="proxy_infnorm", halt_value=eta, max_iters=80,
-            residual_tol=0.0), keep_history=True)
+            residual_tol=0.0))
         ok &= rep.halt_reason == "proxy_infnorm_criterion"
         ok &= (np.max(np.abs(x - rep.estimate))
                <= 1.12 * eta + 1.17 * e_norm)
@@ -259,8 +259,7 @@ def test_07_kaczmarz_identity_sharpness_and_contraction():
     for seed in range(50):
         run = sk.rk_solve(np.eye(n), np.ones(n), np.zeros(n), 2000,
                           seed=stream_seed("acc7", seed),
-                          log_stride=2000, x_ref=np.zeros(n),
-                          residual=np.ones(n))
+                          log_stride=2000, x_ref=np.zeros(n))
         finals.append(run.iterates_logged[-1][1])
     mean_final = float(np.mean(finals))
     ok &= 9.0 <= mean_final <= 11.0
@@ -350,8 +349,9 @@ def test_10_reweighted_improvement_direction():
         sigma = np.linalg.norm(e) / np.sqrt(128)
         eps = float(np.sqrt(sigma**2 * (128 + 2 * np.sqrt(2 * 128))))
         rep = sk.reweighted_l1(A, u_clean + e,
-                               sk.RwConfig(epsilon=eps, max_iters=9), x_ref=x)
-        ratios.append(rep.reference_errors[8] / rep.reference_errors[0])
+                               sk.RwConfig(epsilon=eps, max_iters=9))
+        first, ninth = rep.estimate_history[0], rep.estimate_history[8]
+        ratios.append(np.linalg.norm(x - ninth) / np.linalg.norm(x - first))
     median = float(np.median(ratios))
     report(10, f"reweighted improvement direction (median {median:.3f})",
            median < 1.0)

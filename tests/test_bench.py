@@ -174,6 +174,10 @@ class TestKaczmarzStudy:
         with pytest.raises(ValueError):
             bench.run_kaczmarz_study(5, 10, 1, 10, 0.0, 0)
 
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            bench.run_kaczmarz_study(10, 5, 0, 10, 0.0, 0)
+
 
 class TestRwBoundsStudy:
     def test_noiseless_one_iteration(self):

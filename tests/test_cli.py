@@ -179,6 +179,15 @@ class TestOtherSubcommands:
         assert "threshold" in out.splitlines()[0]
         assert len(out.strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("flag, value", [("--log-stride", "0"),
+                                             ("--trials", "0")])
+    def test_kaczmarz_bad_count_is_exit_2(self, capsys, flag, value):
+        argv = {"--m": "10", "--n": "5", "--iters": "10", "--trials": "1"}
+        argv[flag] = value
+        code, out, err = run_cli(capsys, "kaczmarz",
+                                 *(x for kv in argv.items() for x in kv))
+        assert code == 2 and out == "" and flag[2:].replace("-", "_") in err
+
     def test_rwbounds(self, capsys):
         code, out, _ = run_cli(capsys, "rwbounds", "--mu", "10",
                                "--eps", "0.1", "--delta", "0.1,0.2")

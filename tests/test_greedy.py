@@ -184,7 +184,7 @@ class TestRomp:
     def test_orthogonal_first_pick_is_top_s(self):
         A = gen_matrix(EnsembleSpec("partial_dct", 32, 32, seed=10))
         x = gen_signal(SignalSpec(32, 4, "compressible", p=0.5, seed=11))
-        rep = romp(A, A @ x, 4, keep_history=True)
+        rep = romp(A, A @ x, 4)
         np.testing.assert_allclose(rep.estimate, x, atol=1e-10)
         assert set(rep.selection_history[0]) <= set(np.flatnonzero(x))
 
@@ -211,7 +211,7 @@ class TestRomp:
     def test_selection_disjoint_from_running_support(self):
         A = gen_matrix(EnsembleSpec("gaussian", 24, 48, seed=14))
         x = gen_signal(SignalSpec(48, 3, seed=15))
-        rep = romp(A, A @ x, 3, keep_history=True)
+        rep = romp(A, A @ x, 3)
         seen = set()
         for J0 in rep.selection_history:
             assert not (set(J0) & seen)
@@ -257,18 +257,9 @@ class TestCosamp:
         x = gen_signal(SignalSpec(64, 4, seed=21))
         rep = cosamp(A, A @ x + 0.05 * CounterRng(22).normal(32),
                      CosampConfig(4, halting="fixed_iterations", halt_value=8,
-                                  residual_tol=0.0),
-                     keep_history=True)
+                                  residual_tol=0.0))
         for a in rep.estimate_history:
             assert np.count_nonzero(a) <= 4
-
-    def test_residual_variant_recovers(self):
-        A = gen_matrix(EnsembleSpec("gaussian", 48, 96, seed=23))
-        x = gen_signal(SignalSpec(96, 4, seed=24))
-        cfg = CosampConfig(4, halting="sample_norm", halt_value=1e-9,
-                           residual_update=True, max_iters=60)
-        rep = cosamp(A, A @ x, cfg)
-        np.testing.assert_allclose(rep.estimate, x, atol=1e-6)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -391,8 +382,7 @@ class TestCosampContraction:
             e = 0.03 * rng.normal(m)
             u = A @ x + e
             rep = cosamp(A, u, CosampConfig(s, halting="fixed_iterations",
-                                            halt_value=10, residual_tol=0.0),
-                         keep_history=True)
+                                            halt_value=10, residual_tol=0.0))
             errs = [np.linalg.norm(x)] + [
                 np.linalg.norm(x - a) for a in rep.estimate_history]
             for prev, nxt in zip(errs, errs[1:]):

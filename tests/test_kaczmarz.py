@@ -85,6 +85,20 @@ class TestSolve:
         assert ks[0] == 0 and ks[-1] == 103
         assert all(a < b for a, b in zip(ks, ks[1:]))
 
+    def test_consistent_underdetermined_system(self):
+        # R is undefined for a wide matrix, but the sweep still reaches a
+        # solution of A x = b
+        A = CounterRng(25).normal(18).reshape(3, 6)
+        b = A @ CounterRng(26).normal(6)
+        run = rk_solve(A, b, np.zeros(6), 2000, seed=27)
+        assert np.linalg.norm(A @ run.final_estimate - b) < 1e-8
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_log_stride_below_one_rejected(self, stride):
+        with pytest.raises(ValueError, match="log_stride"):
+            rk_solve(np.eye(3), np.ones(3), np.zeros(3), 10, log_stride=stride,
+                     x_ref=np.zeros(3))
+
     def test_seeded_determinism(self):
         A = CounterRng(11).normal(60).reshape(12, 5)
         b = CounterRng(12).normal(12)
@@ -120,9 +134,10 @@ class TestSolve:
         # sqrt(n) = sqrt(R) * gamma
         n = 25
         run = rk_solve(np.eye(n), np.ones(n), np.zeros(n), 400, seed=17,
-                       x_ref=np.zeros(n), residual=np.ones(n))
-        assert run.R == pytest.approx(n)
-        assert run.gamma == pytest.approx(1.0)
+                       x_ref=np.zeros(n))
+        R, gamma = rk_theory(np.eye(n), residual=np.ones(n))
+        assert R == pytest.approx(n)
+        assert gamma == pytest.approx(1.0)
         assert run.iterates_logged[-1][1] == pytest.approx(np.sqrt(n))
 
     def test_expected_contraction(self):
