@@ -20,7 +20,7 @@ print("recovery rate by (s, m), 40 trials per cell:\n")
 header = "s\\m " + "".join(f"{m:>6}" for m in grid.m_values)
 print(header)
 for s in grid.s_values:
-    rates = [c.success_count / c.trials for c in cells if c.s == s]
+    rates = [c["success_rate"] for c in cells if c["s"] == s]
     print(f"{s:<4}" + "".join(f"{r:6.2f}" for r in rates))
 
 rows = bench.run_trend(grid, level=0.99)

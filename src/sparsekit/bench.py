@@ -9,7 +9,6 @@ on any number of worker threads with bit-identical output (results are
 reduced in trial order).
 """
 
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +25,6 @@ from .rng import stream_seed
 ALGORITHMS = ("bp", "omp", "stomp", "romp", "cosamp", "rwl1")
 
 SUCCESS_THRESHOLD = 1e-5
-
 
 
 @dataclass(frozen=True)
@@ -63,80 +61,46 @@ class ExperimentGrid:
                 warnings.warn(f"cell with m={m} > d={self.d}", stacklevel=2)
 
 
-@dataclass
-class CellResult:
-    algorithm: str
-    d: int
-    m: int
-    s: int
-    trials: int
-    seed: int
-    success_count: int
-    mean_normalized_error: float
-    mean_iterations: float
-    mean_runtime: float          # informational; excluded from file output
+def run_algorithm(algorithm, A, u, s, e_norm=0.0):
+    """Dispatch one recovery; returns (estimate, iterations).
 
-    def row(self):
-        return {
-            "algo": self.algorithm, "d": self.d, "m": self.m, "s": self.s,
-            "trials": self.trials, "seed": self.seed,
-            "success_count": self.success_count,
-            "success_rate": self.success_count / self.trials,
-            "mean_normalized_error": self.mean_normalized_error,
-            "mean_iterations": self.mean_iterations,
-        }
-
-
-def trial_seed(master, algorithm, s, m, trial):
-    """Per-trial stream seed; independent of cell enumeration order."""
-    return stream_seed(master, algorithm, s, m, trial)
-
-
-def _recovery_epsilon(e_norm, u_norm):
-    return max(1.01 * e_norm, 1e-9 * max(u_norm, 1.0))
-
-
-def run_algorithm(algorithm, A, u, s, e_norm=0.0, noise_sigma=0.0):
-    """Dispatch one recovery; returns (estimate, iterations)."""
+    ``e_norm`` = ||e|| is the noise bound of ``bp`` and ``cosamp``; ``rwl1``
+    uses epsilon = sigma sqrt(m + 2 sqrt(2m)) with sigma = e_norm / sqrt(m).
+    """
     m = A.shape[0]
     if s == 0:
         return np.zeros(A.shape[1]), 0
-    if algorithm == "omp":
-        rep = omp(A, u, min(s, m))
-        return rep.estimate, rep.iterations
-    if algorithm == "stomp":
-        rep = stomp(A, u, StompConfig())
-        return rep.estimate, rep.iterations
-    if algorithm == "romp":
-        rep = romp(A, u, s)
-        return rep.estimate, rep.iterations
-    if algorithm == "cosamp":
-        eps = _recovery_epsilon(e_norm, float(np.linalg.norm(u)))
-        cfg = CosampConfig(s, halting="sample_norm", halt_value=eps,
-                           max_iters=max(10 * s, 60))
-        rep = cosamp(A, u, cfg)
-        return rep.estimate, rep.iterations
     if algorithm == "bp":
         if e_norm == 0.0:
             return bp_equality(A, u), 1
         return bp_denoise(A, u, e_norm), 1
-    if algorithm == "rwl1":
-        eps = 0.0
-        if noise_sigma > 0.0:
-            eps = float(np.sqrt(noise_sigma**2 * (m + 2 * np.sqrt(2 * m))))
+    if algorithm == "omp":
+        rep = omp(A, u, min(s, m))
+    elif algorithm == "stomp":
+        rep = stomp(A, u, StompConfig())
+    elif algorithm == "romp":
+        rep = romp(A, u, s)
+    elif algorithm == "cosamp":
+        eps = max(1.01 * e_norm, 1e-9 * max(float(np.linalg.norm(u)), 1.0))
+        rep = cosamp(A, u, CosampConfig(s, halting="sample_norm",
+                                        halt_value=eps,
+                                        max_iters=max(10 * s, 60)))
+    elif algorithm == "rwl1":
+        sigma = e_norm / np.sqrt(m)
+        eps = float(np.sqrt(sigma**2 * (m + 2 * np.sqrt(2 * m))))
         rep = reweighted_l1(A, u, RwConfig(epsilon=eps))
-        return rep.estimate, rep.iterations
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return rep.estimate, rep.iterations
 
 
 def _one_trial(grid, s, m, trial):
-    seed = trial_seed(grid.seed, grid.algorithm, s, m, trial)
+    seed = stream_seed(grid.seed, grid.algorithm, s, m, trial)
     A = gen_matrix(EnsembleSpec(grid.ensemble, m, grid.d,
                                 seed=stream_seed(seed, "matrix")))
     x = gen_signal(SignalSpec(grid.d, s, grid.signal_kind, grid.signal_p,
                               seed=stream_seed(seed, "signal"),
                               random_signs=grid.random_signs))
-    noise_sigma = 0.0
     e_norm = 0.0
     if grid.noise_mode == "signal" and (grid.noise_norm or grid.noise_fraction):
         target = grid.noise_norm or grid.noise_fraction * np.linalg.norm(x)
@@ -151,21 +115,13 @@ def _one_trial(grid, s, m, trial):
         e = gen_noise(NoiseSpec(m, target, stream_seed(seed, "noise")))
         e_norm = float(np.linalg.norm(e))
         u = u_clean + e
-    if e_norm > 0:
-        # entrywise scale of the rescaled Gaussian noise, for the rwl1 default
-        noise_sigma = e_norm / np.sqrt(m)
-
-    t0 = time.perf_counter()
-    x_hat, iterations = run_algorithm(grid.algorithm, A, u, s, e_norm,
-                                      noise_sigma)
-    runtime = time.perf_counter() - t0
-
+    x_hat, iterations = run_algorithm(grid.algorithm, A, u, s, e_norm)
     err = float(np.linalg.norm(x_hat - x))
     xnorm = float(np.linalg.norm(x))
     normalized = err / xnorm if xnorm > 0 else float(np.linalg.norm(x_hat))
     return {
         "x": x, "estimate": x_hat, "error": err, "normalized": normalized,
-        "iterations": iterations, "runtime": runtime, "e_norm": e_norm,
+        "iterations": iterations, "e_norm": e_norm,
         "success": err <= grid.success_threshold,
     }
 
@@ -187,18 +143,20 @@ def _cells(grid):
 
 
 def run_phase_transition(grid):
-    """Success counts and mean errors over the (s, m) grid."""
-    return [
-        CellResult(
-            grid.algorithm, grid.d, m, s, grid.trials, grid.seed,
-            success_count=sum(t["success"] for t in trials),
-            mean_normalized_error=float(
+    """Success counts and mean errors over the (s, m) grid, one row per cell."""
+    rows = []
+    for s, m, trials in _cells(grid):
+        successes = sum(t["success"] for t in trials)
+        rows.append({
+            "algo": grid.algorithm, "d": grid.d, "m": m, "s": s,
+            "trials": grid.trials, "seed": grid.seed,
+            "success_count": successes,
+            "success_rate": successes / grid.trials,
+            "mean_normalized_error": float(
                 np.mean([t["normalized"] for t in trials])),
-            mean_iterations=float(np.mean([t["iterations"] for t in trials])),
-            mean_runtime=float(np.mean([t["runtime"] for t in trials])),
-        )
-        for s, m, trials in _cells(grid)
-    ]
+            "mean_iterations": float(np.mean([t["iterations"] for t in trials])),
+        })
+    return rows
 
 
 def run_trend(grid, level=0.99):
@@ -208,8 +166,8 @@ def run_trend(grid, level=0.99):
     for m in grid.m_values:
         best = 0
         for c in cells:
-            if c.m == m and c.success_count >= level * c.trials:
-                best = max(best, c.s)
+            if c["m"] == m and c["success_count"] >= level * c["trials"]:
+                best = max(best, c["s"])
         rows.append({
             "algo": grid.algorithm, "d": grid.d, "m": m,
             "s_max_tested": max(grid.s_values), "trials": grid.trials,
@@ -252,8 +210,9 @@ def run_noise_study(grid):
 
 
 def iteration_cap(algorithm, s):
+    """Per-run bound: ROMP's s rounds (Needell-Vershynin), CoSaMP's 6(s+1)."""
     if algorithm == "romp":
-        return 2 * s
+        return s
     if algorithm == "cosamp":
         return 6 * (s + 1)
     return None

@@ -63,6 +63,7 @@ def _add_grid_flags(p):
 
 
 def _add_output_flags(p):
+    """``--out``, ``--format`` and ``--config`` of a row-emitting command."""
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", default="csv", choices=("csv", "jsonl"))
     p.add_argument("--config", default=None,
@@ -113,17 +114,21 @@ def build_parser():
     p.add_argument("--mode", default="exact", choices=("exact", "monte_carlo"))
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
-    _add_output_flags(p)
 
-    p = sub.add_parser("recover", help="single-instance debugging run")
-    p.add_argument("--matrix", required=True, help="matrix CSV path")
-    p.add_argument("--signal", required=True, help="signal CSV path")
-    p.add_argument("--algo", default="omp", choices=bench.ALGORITHMS)
-    p.add_argument("--s", type=int, default=None,
+    q = sub.add_parser("recover", help="single-instance debugging run")
+    q.add_argument("--matrix", required=True, help="matrix CSV path")
+    q.add_argument("--signal", required=True, help="signal CSV path")
+    q.add_argument("--algo", default="omp", choices=bench.ALGORITHMS)
+    q.add_argument("--s", type=int, default=None,
                    help="sparsity (default: nonzero count of the signal)")
-    p.add_argument("--noise-norm", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
+    q.add_argument("--noise-norm", type=float, default=0.0)
+    q.add_argument("--seed", type=int, default=0)
+
+    for json_cmd in (p, q):     # each prints one JSON object: no --format
+        json_cmd.add_argument("--out", default=None,
+                              help="output path (default stdout)")
+        json_cmd.add_argument("--config", default=None,
+                              help="key = value file; flags override")
     return parser
 
 
@@ -146,16 +151,26 @@ def _load_config(path):
 
 def _parse(parser, argv):
     """Parse ``argv``; config-file values enter as flags placed ahead of
-    argv's own, so any flag given on the command line wins."""
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
+    argv's own, so any flag given on the command line wins and a config
+    file can supply required flags."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return parser.parse_args(argv)
+    config = {"--" + key.replace("_", "-"): (key, val)
+              for key, val in _load_config(path).items()}
+    # a first pass learns the command's options: each value follows its flag
+    # as its own token, which a store-true option leaves unparsed (keys that
+    # abbreviate --help stay out of it and are rejected below)
+    known, _ = parser.parse_known_args(argv[:1] + [
+        t for flag, (key, val) in config.items()
+        if not "help".startswith(key) for t in (flag, val)] + argv[1:])
     flags = []
-    for key, val in _load_config(args.config).items():
-        if key == "command" or key not in vars(args):
+    for flag, (key, val) in config.items():
+        if key == "command" or key not in vars(known):
             raise ValueError(f"unknown config key {key!r}")
-        flag = "--" + key.replace("_", "-")
-        if isinstance(getattr(args, key), bool):
+        if isinstance(getattr(known, key), bool):
             if val.lower() in ("1", "true", "yes", "on"):
                 flags.append(flag)
         else:
@@ -198,8 +213,7 @@ def main(argv=None):
 
     try:
         if args.command == "phase":
-            _emit([c.row() for c in bench.run_phase_transition(
-                _grid_from_args(args))], args)
+            _emit(bench.run_phase_transition(_grid_from_args(args)), args)
         elif args.command == "trend":
             _emit(bench.run_trend(_grid_from_args(args), args.level), args)
         elif args.command == "noise":
@@ -260,8 +274,7 @@ def _run_recover(args):
                                 stream_seed(args.seed, "recover-noise")))
         u = u + e
         e_norm = args.noise_norm
-    x_hat, iterations = bench.run_algorithm(args.algo, A, u, s, e_norm,
-                                            e_norm / np.sqrt(A.shape[0]))
+    x_hat, iterations = bench.run_algorithm(args.algo, A, u, s, e_norm)
     err = float(np.linalg.norm(x_hat - x))
     return {
         "algorithm": args.algo, "m": int(A.shape[0]), "d": int(A.shape[1]),

@@ -37,12 +37,25 @@ MAX_NEWTON = 60              # Newton-step cap per barrier stage
 
 
 def _scale_columns(A, weights, d):
+    """``(A / w, w)`` for positive column weights w (all ones when none are
+    given); the scaled problem's solution z' maps back as z = z' / w."""
     if weights is None:
-        return A, None
+        return A, np.ones(d)
     w = as_vector(weights, d, "weights")
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
     return A / w[None, :], w
+
+
+def _max_step(pairs):
+    """Longest step in (0, 1] keeping ``f + step * df <= 0`` for every pair
+    ``(f, df)``; the bound lambda >= 0 enters as ``(-lambda, -dlambda)``."""
+    step = 1.0
+    for f, df in pairs:
+        pos = df > 0
+        if np.any(pos):
+            step = min(step, float(np.min(-f[pos] / df[pos])))
+    return step
 
 
 def bp_equality(A, u, weights=None):
@@ -73,7 +86,7 @@ def _bp_equality_full(A, u, weights=None):
     nu, *_ = np.linalg.lstsq(A.T, -(lam1 - lam2), rcond=None)
     mu = 10.0
 
-    def residuals(z, t, fu1, fu2, lam1, lam2, nu, tau):
+    def residuals(z, fu1, fu2, lam1, lam2, nu, tau):
         r_dual = np.concatenate([lam1 - lam2 + A.T @ nu, 1.0 - lam1 - lam2])
         r_cent = np.concatenate([-lam1 * fu1, -lam2 * fu2]) - 1.0 / tau
         r_pri = A @ z - u
@@ -94,7 +107,7 @@ def _bp_equality_full(A, u, weights=None):
         obj = float(np.sum(t))
         if (sdg <= BP_GAP_TOL * max(1.0, obj)
                 and np.linalg.norm(A @ z - u) <= BP_FEAS_TOL * uscale):
-            return (z / w if w is not None else z), t
+            return z / w, t
         tau = mu * 2 * d / sdg
 
         sig1 = -lam1 / fu1 - lam2 / fu2          # > 0
@@ -118,18 +131,10 @@ def _bp_equality_full(A, u, weights=None):
         dlam2 = (lam2 / fu2) * (dz + dt) - lam2 - 1.0 / (tau * fu2)
 
         # longest step keeping lambda >= 0 and f < 0
-        step = 1.0
-        for lam, dlam in ((lam1, dlam1), (lam2, dlam2)):
-            neg = dlam < 0
-            if np.any(neg):
-                step = min(step, float(np.min(-lam[neg] / dlam[neg])))
-        for f, df in ((fu1, dz - dt), (fu2, -dz - dt)):
-            pos = df > 0
-            if np.any(pos):
-                step = min(step, float(np.min(-f[pos] / df[pos])))
-        step *= 0.99
+        step = 0.99 * _max_step(((-lam1, -dlam1), (-lam2, -dlam2),
+                                 (fu1, dz - dt), (fu2, -dz - dt)))
 
-        res = np.concatenate(residuals(z, t, fu1, fu2, lam1, lam2, nu, tau))
+        res = np.concatenate(residuals(z, fu1, fu2, lam1, lam2, nu, tau))
         res_norm = np.linalg.norm(res)
         for _ in range(32):
             zn = z + step * dz
@@ -141,7 +146,7 @@ def _bp_equality_full(A, u, weights=None):
             nun = nu + step * dnu
             if np.all(f1n < 0) and np.all(f2n < 0):
                 new_res = np.concatenate(
-                    residuals(zn, tn, f1n, f2n, l1n, l2n, nun, tau))
+                    residuals(zn, f1n, f2n, l1n, l2n, nun, tau))
                 if np.linalg.norm(new_res) <= (1 - 0.01 * step) * res_norm:
                     break
             step *= 0.5
@@ -150,14 +155,14 @@ def _bp_equality_full(A, u, weights=None):
             # acceptable if it already meets the contract tolerances
             z = restore_feasibility(z)
             if within_contract(z, t, sdg):
-                return (z / w if w is not None else z), t
+                return z / w, t
             raise SolverError("interior-point line search stalled")
         z, t, fu1, fu2, lam1, lam2, nu = zn, tn, f1n, f2n, l1n, l2n, nun
 
     sdg = -(fu1 @ lam1 + fu2 @ lam2)
     z = restore_feasibility(z)
     if within_contract(z, t, sdg):
-        return (z / w if w is not None else z), t
+        return z / w, t
     raise SolverError("interior-point method hit the iteration limit")
 
 
@@ -188,9 +193,9 @@ def bp_denoise(A, u, eps, weights=None):
         np.log((2 * d + 1) / (tau * BARRIER_GAP_TARGET)) / np.log(mu)))
 
     for _ in range(max(n_outer, 1)):
-        z, t, r = _qc_newton(A, AtA, u, eps, z, t, tau)
+        z, t = _qc_newton(A, AtA, u, eps, z, t, tau)
         tau *= mu
-    return z / w if w is not None else z
+    return z / w
 
 
 def _qc_newton(A, AtA, u, eps, z, t, tau):
@@ -227,11 +232,7 @@ def _qc_newton(A, AtA, u, eps, z, t, tau):
             break
 
         # longest step keeping every constraint strictly feasible
-        step = 1.0
-        for f, df in ((fu1, dz - dt), (fu2, -dz - dt)):
-            pos = df > 0
-            if np.any(pos):
-                step = min(step, float(np.min(-f[pos] / df[pos])))
+        step = _max_step(((fu1, dz - dt), (fu2, -dz - dt)))
         adz = A @ dz
         q2 = float(adz @ adz)
         q1 = float(r @ adz)
@@ -260,7 +261,7 @@ def _qc_newton(A, AtA, u, eps, z, t, tau):
         else:
             break  # no further progress possible at this barrier weight
         z, t, r, fu1, fu2, fe, fval = zn, tn, rn, f1n, f2n, fen, fnew
-    return z, t, r
+    return z, t
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +272,12 @@ class RwConfig:
     """Reweighted iteration settings.
 
     ``epsilon`` is the noise bound handed to each weighted solve (0 means
-    the equality-constrained problem).  ``a_schedule`` maps the iteration
-    index k (1-based) to the weight-stability parameter a_k; the default is
-    a_k = 1/(1000 k).  ``max_iters`` weighted solves are performed.
+    the equality-constrained problem).  ``max_iters`` weighted solves are
+    performed; the weight-stability parameter is fixed (see
+    ``reweighted_l1``).
     """
 
     epsilon: float = 0.0
-    a_schedule: object = None
     max_iters: int = 9
 
     def __post_init__(self):
@@ -286,21 +286,12 @@ class RwConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
-    def stability(self, k):
-        if self.a_schedule is not None:
-            a = float(self.a_schedule(k))
-        else:
-            a = 1.0 / (1000.0 * k)
-        if a <= 0:
-            raise ValueError("stability parameter a_k must be > 0")
-        return a
-
 
 def reweighted_l1(A, u, cfg=None):
     """Iteratively reweighted l1-minimization.
 
     Starts from unit weights, then resets them to 1/(|estimate| + a_k)
-    after each solve.  The report's ``estimate_history`` holds every
+    after the k-th solve, with the stability parameter a_k = 1/(1000 k).  The report's ``estimate_history`` holds every
     solve's estimate, so errors against a reference signal are computed by
     the caller.
     """
@@ -316,7 +307,7 @@ def reweighted_l1(A, u, cfg=None):
         x = bp_denoise(A, u, cfg.epsilon, weights=weights)
         estimates.append(x.copy())
         residuals.append(float(np.linalg.norm(u - A @ x)))
-        weights = 1.0 / (np.abs(x) + cfg.stability(k))
+        weights = 1.0 / (np.abs(x) + 1.0 / (1000.0 * k))
     supp = support(x, 1e-8 * max(1.0, float(np.max(np.abs(x)))))
     return RecoveryReport(x, supp, cfg.max_iters, residuals,
                           HALT_MAX_ITERATIONS, estimate_history=estimates)

@@ -209,11 +209,8 @@ def omp(A, u, s):
     x_hat = np.zeros(d)
     r = u.copy()
     history = []
-    halt = HALT_MAX_ITERATIONS
-    it = 0
     for _ in range(s):
         if np.linalg.norm(r) <= RESIDUAL_TOL:
-            halt = HALT_RESIDUAL_ZERO
             break
         y = np.abs(A.T @ r)
         y[I] = -1.0
@@ -221,12 +218,10 @@ def omp(A, u, s):
         I = np.sort(np.append(I, lam))
         x_hat = pseudoinverse_apply(A, I, u)
         r = u - A @ x_hat
-        it += 1
         history.append(float(np.linalg.norm(r)))
-    else:
-        if np.linalg.norm(r) <= RESIDUAL_TOL:
-            halt = HALT_RESIDUAL_ZERO
-    return RecoveryReport(x_hat, I, it, history, halt)
+    halt = (HALT_RESIDUAL_ZERO if np.linalg.norm(r) <= RESIDUAL_TOL
+            else HALT_MAX_ITERATIONS)
+    return RecoveryReport(x_hat, I, len(history), history, halt)
 
 
 def stomp(A, u, cfg=None):

@@ -67,7 +67,6 @@ def _scan(A, support_iter):
     best_witness = None
     lower = 0.0
     upper = 0.0
-    count = 0
     for supports in support_iter:
         lo, hi = _gram_extremes(A, supports)
         deltas = np.maximum(hi - 1.0, 1.0 - lo)
@@ -77,8 +76,7 @@ def _scan(A, support_iter):
             best_witness = supports[i].copy()
         lower = max(lower, float(np.max(1.0 - lo)))
         upper = max(upper, float(np.max(hi - 1.0)))
-        count += supports.shape[0]
-    return best, best_witness, lower, upper, count
+    return best, best_witness, lower, upper
 
 
 def ric_exact(A, r, cap=ENUMERATION_CAP):
@@ -93,7 +91,7 @@ def ric_exact(A, r, cap=ENUMERATION_CAP):
             f"C({d},{r}) = {n_supports} supports exceeds cap {cap}; "
             "use ric_monte_carlo for a sampled lower bound"
         )
-    delta, witness, lower, upper, _ = _scan(A, _support_chunks(d, r))
+    delta, witness, lower, upper = _scan(A, _support_chunks(d, r))
     return RicReport(r, max(delta, 0.0), "exact", witness, lower, upper)
 
 
@@ -111,7 +109,7 @@ def ric_monte_carlo(A, r, trials, seed=0):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if math.comb(d, r) <= trials:
-        delta, witness, lower, upper, _ = _scan(A, _support_chunks(d, r))
+        delta, witness, lower, upper = _scan(A, _support_chunks(d, r))
     else:
         def sampled():
             for start in range(0, trials, CHUNK):
@@ -121,13 +119,8 @@ def ric_monte_carlo(A, r, trials, seed=0):
                 ]
                 yield np.asarray(block, dtype=np.intp)
 
-        delta, witness, lower, upper, _ = _scan(A, sampled())
+        delta, witness, lower, upper = _scan(A, sampled())
     return RicReport(r, max(delta, 0.0), "monte_carlo", witness, lower, upper, trials)
-
-
-def _projection_basis(A, idx):
-    Q, _ = np.linalg.qr(A[:, idx])
-    return Q
 
 
 def check_ric_consequences(A, s, trials=200, seed=0):
@@ -182,8 +175,8 @@ def check_ric_consequences(A, s, trials=200, seed=0):
         I3 = np.sort(both[perm[:cut]])
         J3 = np.sort(both[perm[cut:]])
         if I3.size and J3.size:
-            QI = _projection_basis(A, I3)
-            QJ = _projection_basis(A, J3)
+            QI, _ = np.linalg.qr(A[:, I3])
+            QJ, _ = np.linalg.qr(A[:, J3])
             lhs = np.linalg.norm(QI.T @ QJ, 2)
             ratios["almost_orthogonality"] = max(
                 ratios["almost_orthogonality"], ratio(lhs, 2.2 * eps))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sparsekit import bench
-from sparsekit.bench import ExperimentGrid, rows_to_csv, rows_to_jsonl, trial_seed
+from sparsekit.bench import ExperimentGrid, rows_to_csv, rows_to_jsonl
+from sparsekit.rng import stream_seed
 
 
 def small_grid(algo="omp", **kw):
@@ -28,41 +29,39 @@ class TestGrid:
 
     def test_trial_seed_ignores_grid_shape(self):
         # adding cells or algorithms never perturbs an existing trial seed
-        assert trial_seed(1, "omp", 2, 16, 0) == trial_seed(1, "omp", 2, 16, 0)
-        assert trial_seed(1, "omp", 2, 16, 0) != trial_seed(1, "bp", 2, 16, 0)
-        assert trial_seed(1, "omp", 2, 16, 0) != trial_seed(1, "omp", 2, 16, 1)
+        assert stream_seed(1, "omp", 2, 16, 0) == stream_seed(1, "omp", 2, 16, 0)
+        assert stream_seed(1, "omp", 2, 16, 0) != stream_seed(1, "bp", 2, 16, 0)
+        assert stream_seed(1, "omp", 2, 16, 0) != stream_seed(1, "omp", 2, 16, 1)
 
 
 class TestPhaseTransition:
     def test_zero_sparsity_always_succeeds(self):
         cells = bench.run_phase_transition(
             small_grid(algo="cosamp", s_values=(0,), trials=1))
-        assert cells[0].success_count == 1
+        assert cells[0]["success_count"] == 1
 
     def test_success_monotone_in_m(self):
         grid = small_grid(d=64, m_values=(16, 24, 32, 48), s_values=(4,),
                           trials=50)
         cells = bench.run_phase_transition(grid)
-        rates = [c.success_count / c.trials for c in cells]
+        rates = [c["success_count"] / c["trials"] for c in cells]
         slack = 3 * np.sqrt(0.25 / grid.trials)
         assert all(b >= a - slack for a, b in zip(rates, rates[1:]))
 
     def test_thread_count_does_not_change_output(self):
-        rows1 = [c.row() for c in bench.run_phase_transition(
-            small_grid(trials=6, threads=1))]
-        rows4 = [c.row() for c in bench.run_phase_transition(
-            small_grid(trials=6, threads=4))]
+        rows1 = bench.run_phase_transition(small_grid(trials=6, threads=1))
+        rows4 = bench.run_phase_transition(small_grid(trials=6, threads=4))
         assert rows_to_csv(rows1) == rows_to_csv(rows4)
 
     def test_all_algorithms_run(self):
         for algo in bench.ALGORITHMS:
             cells = bench.run_phase_transition(
                 small_grid(algo=algo, trials=2, m_values=(16,), s_values=(1,)))
-            assert cells[0].trials == 2
+            assert cells[0]["trials"] == 2
 
     def test_rows_exclude_runtime(self):
         cells = bench.run_phase_transition(small_grid(trials=2))
-        assert "runtime" not in rows_to_csv([c.row() for c in cells])
+        assert "runtime" not in rows_to_csv(cells)
 
 
 class TestTrend:
@@ -74,7 +73,8 @@ class TestTrend:
     def test_degenerate_single_trial(self):
         grid = small_grid(s_values=(1, 2), trials=1)
         rows = bench.run_trend(grid, level=1.0)
-        cells = {c.s: c.success_count for c in bench.run_phase_transition(grid)}
+        cells = {c["s"]: c["success_count"]
+                 for c in bench.run_phase_transition(grid)}
         expected = max((s for s, n in cells.items() if n == 1), default=0)
         assert rows[0]["max_s"] == expected
 
@@ -143,6 +143,14 @@ class TestIterationStudy:
         rows = bench.run_iteration_study(grid)
         assert all(r["mean_iterations"] <= 4.0 for r in rows)
 
+    def test_romp_cap_is_s_rounds(self):
+        # romp stops after s rounds, so the reported cap is s
+        grid = small_grid(algo="romp", d=128, m_values=(64,), s_values=(4, 8),
+                          trials=20, signal_kind="compressible")
+        for r in bench.run_iteration_study(grid):
+            assert r["cap"] == r["s"]
+            assert r["max_iterations"] <= r["s"]
+
     def test_compressible_romp_iterations(self):
         grid = small_grid(algo="romp", d=256, m_values=(128,), s_values=(8,),
                           trials=10, signal_kind="compressible", signal_p=0.5)
@@ -203,8 +211,8 @@ class TestRwBoundsStudy:
 class TestSerialization:
     def test_csv_deterministic(self):
         grid = small_grid(trials=4)
-        a = rows_to_csv([c.row() for c in bench.run_phase_transition(grid)])
-        b = rows_to_csv([c.row() for c in bench.run_phase_transition(grid)])
+        a = rows_to_csv(bench.run_phase_transition(grid))
+        b = rows_to_csv(bench.run_phase_transition(grid))
         assert a == b
 
     def test_jsonl_parses(self):
@@ -215,7 +223,6 @@ class TestSerialization:
             json.loads(line)
 
     def test_rows_carry_cell_key(self):
-        cells = bench.run_phase_transition(small_grid(trials=2))
-        row = cells[0].row()
+        row = bench.run_phase_transition(small_grid(trials=2))[0]
         for key in ("algo", "d", "m", "s", "trials", "seed"):
             assert key in row

@@ -135,6 +135,30 @@ class TestConfigFile:
         assert "usage:" in err and "bad range" in err
         assert "Traceback" not in err
 
+    def test_config_supplies_required_ric_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "ric.cfg"
+        cfg.write_text("d = 10\nm = 8\nr = 2\n")
+        code, from_config, err = run_cli(capsys, "ric", "--config", str(cfg),
+                                         "--seed", "5")
+        assert code == 0, err
+        _, from_flags, _ = run_cli(capsys, "ric", "--d", "10", "--m", "8",
+                                   "--r", "2", "--seed", "5")
+        assert from_config == from_flags
+
+    def test_config_supplies_required_recover_flags(self, capsys, tmp_path):
+        amat, sig = tmp_path / "A.csv", tmp_path / "x.csv"
+        save_matrix_csv(amat, gen_matrix(EnsembleSpec("gaussian", 12, 24,
+                                                      seed=9)), seed=9)
+        save_vector_csv(sig, gen_signal(SignalSpec(24, 2, seed=10)), seed=10)
+        cfg = tmp_path / "recover.cfg"
+        cfg.write_text(f"matrix = {amat}\nsignal = {sig}\n")
+        code, from_config, err = run_cli(capsys, "recover", "--config",
+                                         str(cfg), "--algo", "cosamp")
+        assert code == 0, err
+        _, from_flags, _ = run_cli(capsys, "recover", "--matrix", str(amat),
+                                   "--signal", str(sig), "--algo", "cosamp")
+        assert from_config == from_flags
+
     def test_store_true_key(self, capsys, tmp_path):
         cfg = tmp_path / "signs.cfg"
         cfg.write_text("random-signs = yes\n")
@@ -200,6 +224,16 @@ class TestOtherSubcommands:
         rep = json.loads(out)
         assert set(rep) == {"r", "delta", "mode", "witness"}
         assert rep["mode"] == "exact" and len(rep["witness"]) == 2
+
+    @pytest.mark.parametrize("command", ["ric", "recover"])
+    def test_json_commands_have_no_format_flag(self, capsys, command):
+        # both always print one JSON object
+        argv = {"ric": ("--d", "10", "--m", "8", "--r", "2"),
+                "recover": ("--matrix", "A.csv", "--signal", "x.csv")}
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv[command], "--format", "jsonl"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_ric_cap_exceeded_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "ric", "--d", "40", "--m", "20",

@@ -137,11 +137,17 @@ class TestReweighted:
             assert np.array_equal(est, np.zeros(12))
 
     def test_stability_schedule(self):
-        cfg = RwConfig()
-        assert cfg.stability(1) == pytest.approx(1e-3)
-        assert cfg.stability(9) == pytest.approx(1 / 9000)
-        cfg2 = RwConfig(a_schedule=lambda k: 0.5)
-        assert cfg2.stability(4) == 0.5
+        # after the k-th solve the weights are 1/(|x| + a_k), a_k = 1/(1000 k)
+        A = gen_matrix(EnsembleSpec("gaussian", 16, 32, seed=21))
+        x = gen_signal(SignalSpec(32, 3, seed=22, random_signs=True))
+        e = gen_noise(NoiseSpec(16, 0.05, seed=23))
+        u, eps = A @ x + e, 0.06
+        rep = reweighted_l1(A, u, RwConfig(epsilon=eps, max_iters=3))
+        history = rep.estimate_history
+        for a_k, prev, est in ((1e-3, history[0], history[1]),
+                               (5e-4, history[1], history[2])):
+            expected = bp_denoise(A, u, eps, weights=1 / (np.abs(prev) + a_k))
+            assert np.array_equal(est, expected)
 
     def test_noisy_improvement_direction_small(self):
         # median error ratio (last vs first iteration) stays below 1
