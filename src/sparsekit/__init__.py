@@ -16,7 +16,6 @@ from .convex import (
     reweighted_l1,
     rw_constants,
     rw_error_recursion,
-    tail_noise_level,
 )
 from .ensembles import (
     EnsembleSpec,
@@ -27,25 +26,20 @@ from .ensembles import (
     gen_noise,
     gen_signal,
     load_csv,
-    relative_noise,
     save_matrix_csv,
     save_vector_csv,
 )
 from .greedy import (
-    BandProfile,
     CosampConfig,
     StompConfig,
-    band_profile,
     cosamp,
-    halting_check,
     omp,
     prune,
     regularize,
     romp,
     stomp,
-    unrecoverable_energy,
 )
-from .kaczmarz import KaczmarzRun, project_row, rk_solve, rk_theory
+from .kaczmarz import KaczmarzRun, rk_solve, rk_theory
 from .linalg import (
     DivergenceError,
     LsConfig,

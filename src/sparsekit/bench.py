@@ -54,6 +54,10 @@ class ExperimentGrid:
             raise ValueError("trials must be >= 1")
         if self.noise_mode not in ("measurement", "signal"):
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
+        if self.noise_norm and self.noise_fraction:
+            raise ValueError("give noise_norm or noise_fraction, not both")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if not self.m_values or not self.s_values:
             raise ValueError("m_values and s_values must be non-empty")
         for m in self.m_values:
@@ -102,19 +106,17 @@ def _one_trial(grid, s, m, trial):
                               seed=stream_seed(seed, "signal"),
                               random_signs=grid.random_signs))
     e_norm = 0.0
-    if grid.noise_mode == "signal" and (grid.noise_norm or grid.noise_fraction):
-        target = grid.noise_norm or grid.noise_fraction * np.linalg.norm(x)
-        g = gen_noise(NoiseSpec(grid.d, target, stream_seed(seed, "noise")))
-        x = x + g
+    in_signal = grid.noise_mode == "signal"
+    clean = x if in_signal else A @ x
+    target = (grid.noise_norm
+              or grid.noise_fraction * float(np.linalg.norm(clean)))
+    noise = gen_noise(NoiseSpec(clean.size, target, stream_seed(seed, "noise")))
+    if in_signal:
+        x = x + noise
         u = A @ x
     else:
-        u_clean = A @ x
-        target = grid.noise_norm
-        if grid.noise_fraction:
-            target = grid.noise_fraction * float(np.linalg.norm(u_clean))
-        e = gen_noise(NoiseSpec(m, target, stream_seed(seed, "noise")))
-        e_norm = float(np.linalg.norm(e))
-        u = u_clean + e
+        e_norm = float(np.linalg.norm(noise))
+        u = clean + noise
     x_hat, iterations = run_algorithm(grid.algorithm, A, u, s, e_norm)
     err = float(np.linalg.norm(x_hat - x))
     xnorm = float(np.linalg.norm(x))
@@ -161,6 +163,8 @@ def run_phase_transition(grid):
 
 def run_trend(grid, level=0.99):
     """For each m, the largest s whose success rate reaches ``level``."""
+    if not 0 <= level <= 1:
+        raise ValueError("level must lie in [0, 1]")
     cells = run_phase_transition(grid)
     rows = []
     for m in grid.m_values:
@@ -283,6 +287,10 @@ def run_kaczmarz_study(m, n, trials, iters, noise_fraction, seed,
 def run_rw_bounds(mu, eps_list, delta_list, tol=1e-3):
     """Iterations until the reweighted error bound is within ``tol`` of its
     limit, per (eps, delta) cell; hypothesis-violating cells are marked."""
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+    if not all(eps >= 0 for eps in eps_list):
+        raise ValueError("every eps must be >= 0")
     rows = []
     for eps in eps_list:
         for delta in delta_list:

@@ -291,9 +291,9 @@ def reweighted_l1(A, u, cfg=None):
     """Iteratively reweighted l1-minimization.
 
     Starts from unit weights, then resets them to 1/(|estimate| + a_k)
-    after the k-th solve, with the stability parameter a_k = 1/(1000 k).  The report's ``estimate_history`` holds every
-    solve's estimate, so errors against a reference signal are computed by
-    the caller.
+    after the k-th solve, with the stability parameter a_k = 1/(1000 k).
+    The report's ``estimate_history`` holds every solve's estimate, so
+    errors against a reference signal are computed by the caller.
     """
     A = as_matrix(A)
     m, d = A.shape
@@ -318,9 +318,6 @@ def reweighted_l1(A, u, cfg=None):
 
 @dataclass
 class RwBounds:
-    mu: float
-    eps: float
-    delta: float
     rho: float
     alpha: float
     E: np.ndarray              # E[k-1] bounds the error after k solves
@@ -337,19 +334,6 @@ def rw_constants(delta):
     return rho, alpha
 
 
-def tail_noise_level(x, s, eps):
-    """Effective noise bound when an arbitrary signal is treated as sparse:
-    1.2 (||x - x_s||_2 + ||x - x_s||_1 / sqrt(s)) + eps."""
-    from .greedy import prune
-
-    x = as_vector(x)
-    tail = x - prune(x, s)
-    return float(
-        1.2 * (np.linalg.norm(tail) + np.linalg.norm(tail, 1) / np.sqrt(s))
-        + eps
-    )
-
-
 def rw_error_recursion(mu, eps, delta, tol=1e-3):
     """Evaluate the per-iteration error bound sequence and its limit.
 
@@ -362,7 +346,7 @@ def rw_error_recursion(mu, eps, delta, tol=1e-3):
     if eps < 0:
         raise ValueError("eps must be >= 0")
     if eps == 0:
-        return RwBounds(mu, eps, delta, rho, alpha, np.zeros(1), 0.0, 1)
+        return RwBounds(rho, alpha, np.zeros(1), 0.0, 1)
     if mu < 4.0 * alpha * eps / (1.0 - rho):
         raise ValueError(
             "hypothesis violated: mu must be at least 4*alpha*eps/(1-rho)")
@@ -374,4 +358,4 @@ def rw_error_recursion(mu, eps, delta, tol=1e-3):
             raise SolverError("error recursion failed to approach its limit")
         frac = E[-1] / (mu - E[-1])
         E.append((1.0 + frac) * alpha * eps / (1.0 - rho * frac))
-    return RwBounds(mu, eps, delta, rho, alpha, np.asarray(E), float(L), len(E))
+    return RwBounds(rho, alpha, np.asarray(E), float(L), len(E))

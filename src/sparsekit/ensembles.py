@@ -136,19 +136,6 @@ def gen_noise(spec):
     return e * (spec.target_norm / norm)
 
 
-def relative_noise(u_clean, fraction, seed):
-    """Gaussian noise with norm ``fraction * ||u_clean||_2``."""
-    u_clean = np.asarray(u_clean, dtype=float).reshape(-1)
-    if fraction < 0:
-        raise ValueError("fraction must be >= 0")
-    if fraction == 0:
-        return np.zeros(u_clean.size)
-    scale = np.linalg.norm(u_clean)
-    if scale == 0:
-        raise ValueError("relative noise is undefined for a zero clean vector")
-    return gen_noise(NoiseSpec(u_clean.size, fraction * scale, seed))
-
-
 # ---------------------------------------------------------------------------
 # CSV interchange
 

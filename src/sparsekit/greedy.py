@@ -53,10 +53,10 @@ class CosampConfig:
     """CoSaMP settings.
 
     ``halting`` is one of ``fixed_iterations`` (halt_value = iteration
-    count, default 6(s+1)), ``sample_norm`` (halt_value = epsilon on
-    ||v||), or ``proxy_infnorm`` (halt_value = eta; halts when
-    ||y||_inf <= eta/sqrt(2s)).  Norm-based modes keep ``max_iters`` as a
-    safety cap (default 6(s+1)).  Every run also halts once ||v|| <=
+    count, default 6(s+1)), ``sample_norm`` (halt_value = epsilon; halts
+    when ||v|| <= epsilon), or ``proxy_infnorm`` (halt_value = eta; halts
+    when ||A'v||_inf <= eta/sqrt(2s)).  Both tests include the boundary.
+    Norm-based modes keep ``max_iters`` as a safety cap (default 6(s+1)).  Every run also halts once ||v|| <=
     ``residual_tol``.  The least-squares step is always ``COSAMP_LS``:
     three conjugate-gradient iterations warm-started from the running
     estimate.
@@ -85,19 +85,6 @@ class CosampConfig:
         return 6 * (self.s + 1)
 
 
-def halting_check(kind, value, epsilon=None, eta=None, s=None):
-    """Pure halting predicate; comparisons are inclusive at the boundary."""
-    if kind == "sample_norm":
-        if epsilon is None:
-            raise ValueError("sample_norm check needs epsilon")
-        return value <= epsilon
-    if kind == "proxy_infnorm":
-        if eta is None or s is None:
-            raise ValueError("proxy_infnorm check needs eta and s")
-        return value <= eta / np.sqrt(2 * s)
-    raise ValueError(f"unknown halting kind {kind!r}")
-
-
 def prune(b, s):
     """Keep the s largest-magnitude entries (ties to smaller index), zero the rest."""
     b = as_vector(b)
@@ -107,43 +94,6 @@ def prune(b, s):
     keep = top_k(b, min(s, b.size))
     out[keep] = b[keep]
     return out
-
-
-def unrecoverable_energy(x, s, e_norm=0.0):
-    """Baseline error ||x - x_s|| + ||x - x_s||_1 / sqrt(s) + ||e||."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    x = as_vector(x)
-    tail = x - prune(x, s)
-    return float(
-        np.linalg.norm(tail) + np.linalg.norm(tail, 1) / np.sqrt(s) + e_norm
-    )
-
-
-@dataclass
-class BandProfile:
-    bands: dict          # band index j -> sorted entry indices
-    profile: int
-
-
-def band_profile(x):
-    """Dyadic magnitude bands of a nonzero vector and their count.
-
-    Band j holds the entries with 2^-(j+1) ||x||^2 < |x_i|^2 <= 2^-j ||x||^2;
-    together the bands partition the support.
-    """
-    x = as_vector(x)
-    total = float(x @ x)
-    if total == 0:
-        raise ValueError("band profile is undefined for the zero vector")
-    idx = np.flatnonzero(x)
-    ratios = x[idx] ** 2 / total
-    j = np.floor(-np.log2(ratios)).astype(int)
-    # fix boundary rounding so membership matches the defining inequalities
-    j = np.where(ratios <= 2.0 ** (-(j + 1.0)), j + 1, j)
-    j = np.where(ratios > 2.0 ** (-j.astype(float)), j - 1, j)
-    bands = {int(b): idx[j == b] for b in np.unique(j)}
-    return BandProfile(bands, len(bands))
 
 
 def regularize(indices, values):
@@ -323,8 +273,12 @@ def cosamp(A, u, cfg):
     Per iteration: proxy from the current samples, identify 2s entries,
     merge with the running support (at most 3s columns), least-squares
     estimate warm-started from the previous approximation, prune to s,
-    update the samples.  The report's ``estimate_history`` holds the
-    estimate after each iteration.
+    update the samples.  Before each iteration the run halts with
+    ``sample_norm_criterion`` when the rule is ``sample_norm`` and
+    ||v|| <= halt_value, then with ``residual_zero`` or at the cap; once
+    the proxy y = A'v is formed, the ``proxy_infnorm`` rule halts when
+    max|y| <= halt_value / sqrt(2s).  The report's ``estimate_history``
+    holds the estimate after each iteration.
     """
     A = as_matrix(A)
     m, d = A.shape
@@ -342,8 +296,7 @@ def cosamp(A, u, cfg):
     it = 0
     while True:
         vnorm = float(np.linalg.norm(v))
-        if cfg.halting == "sample_norm" and halting_check(
-                "sample_norm", vnorm, epsilon=cfg.halt_value):
+        if cfg.halting == "sample_norm" and vnorm <= cfg.halt_value:
             halt = HALT_SAMPLE_NORM
             break
         if vnorm <= cfg.residual_tol:
@@ -353,9 +306,8 @@ def cosamp(A, u, cfg):
             halt = HALT_MAX_ITERATIONS
             break
         y = A.T @ v
-        if cfg.halting == "proxy_infnorm" and halting_check(
-                "proxy_infnorm", float(np.max(np.abs(y))),
-                eta=cfg.halt_value, s=s):
+        if (cfg.halting == "proxy_infnorm"
+                and np.max(np.abs(y)) <= cfg.halt_value / np.sqrt(2 * s)):
             halt = HALT_PROXY_INFNORM
             break
         omega = top_k(y, min(2 * s, d))

@@ -23,16 +23,6 @@ class KaczmarzRun:
     rows_visited: np.ndarray = field(repr=False)
 
 
-def project_row(x, a, b):
-    """Orthogonal projection of x onto the hyperplane <a, .> = b."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    nrm2 = float(a @ a)
-    if nrm2 == 0:
-        raise ValueError("cannot project onto a zero row")
-    return x + ((b - a @ x) / nrm2) * a
-
-
 def rk_theory(A, residual=None):
     """The convergence constant R and the noise level gamma.
 

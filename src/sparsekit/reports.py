@@ -10,14 +10,6 @@ HALT_MAX_ITERATIONS = "max_iterations"
 HALT_SAMPLE_NORM = "sample_norm_criterion"
 HALT_PROXY_INFNORM = "proxy_infnorm_criterion"
 
-HALT_REASONS = (
-    HALT_RESIDUAL_ZERO,
-    HALT_SUPPORT_FULL,
-    HALT_MAX_ITERATIONS,
-    HALT_SAMPLE_NORM,
-    HALT_PROXY_INFNORM,
-)
-
 
 @dataclass
 class RecoveryReport:

@@ -39,10 +39,8 @@ class RicReport:
 
 @dataclass
 class ConsequenceCheck:
-    name: str
     passed: bool
     worst_ratio: float             # max over battery of lhs / rhs
-    cases: int
 
 
 def _support_chunks(d, r):
@@ -199,6 +197,6 @@ def check_ric_consequences(A, s, trials=200, seed=0):
                 ratios["ric_order_scaling"], ratio(lhs, rhs))
 
     return {
-        name: ConsequenceCheck(name, bool(val <= 1.0 + 1e-12), float(val), trials)
+        name: ConsequenceCheck(bool(val <= 1.0 + 1e-12), float(val))
         for name, val in ratios.items()
     }

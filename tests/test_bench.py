@@ -23,6 +23,16 @@ class TestGrid:
         with pytest.raises(ValueError, match="non-empty"):
             small_grid(**{field: ()})
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            small_grid(threads=threads)
+
+    @pytest.mark.parametrize("mode", ["measurement", "signal"])
+    def test_both_noise_levels_rejected(self, mode):
+        with pytest.raises(ValueError, match="not both"):
+            small_grid(noise_norm=0.5, noise_fraction=0.1, noise_mode=mode)
+
     def test_m_larger_than_d_warns(self):
         with pytest.warns(UserWarning):
             small_grid(m_values=(64,))
@@ -69,6 +79,11 @@ class TestTrend:
         grid = small_grid(s_values=(1, 2, 3), trials=2)
         rows = bench.run_trend(grid, level=0.0)
         assert rows[0]["max_s"] == 3
+
+    @pytest.mark.parametrize("level", [-0.1, 1.5, 5.0, float("nan")])
+    def test_level_outside_unit_interval(self, level):
+        with pytest.raises(ValueError, match="level"):
+            bench.run_trend(small_grid(trials=1), level=level)
 
     def test_degenerate_single_trial(self):
         grid = small_grid(s_values=(1, 2), trials=1)
@@ -206,6 +221,15 @@ class TestRwBoundsStudy:
     def test_hypothesis_violations_marked(self):
         rows = bench.run_rw_bounds(0.5, [1.0], [0.3])
         assert rows[0]["hypothesis_ok"] is False
+
+    def test_negative_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps"):
+            bench.run_rw_bounds(10.0, [0.1, -1.0], [0.2])
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tol_not_positive_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            bench.run_rw_bounds(10.0, [0.1], [0.2], tol=tol)
 
 
 class TestSerialization:

@@ -12,7 +12,6 @@ from sparsekit.convex import (
     reweighted_l1,
     rw_constants,
     rw_error_recursion,
-    tail_noise_level,
 )
 from sparsekit.ensembles import EnsembleSpec, NoiseSpec, SignalSpec, gen_matrix, gen_noise, gen_signal
 from sparsekit.rip import ric_exact
@@ -209,10 +208,3 @@ class TestErrorRecursion:
     def test_hypothesis_violation(self):
         with pytest.raises(ValueError):
             rw_error_recursion(0.1, 1.0, 0.2)
-
-    def test_tail_noise_level(self):
-        x = np.array([2.0, 1.0, 0.5, 0.25])
-        got = tail_noise_level(x, 2, 0.1)
-        tail = np.array([0.5, 0.25])
-        want = 1.2 * (np.linalg.norm(tail) + np.abs(tail).sum() / np.sqrt(2)) + 0.1
-        assert got == pytest.approx(want)

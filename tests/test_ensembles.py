@@ -10,7 +10,6 @@ from sparsekit.ensembles import (
     gen_noise,
     gen_signal,
     load_csv,
-    relative_noise,
     save_matrix_csv,
     save_vector_csv,
 )
@@ -104,22 +103,6 @@ class TestNoise:
     def test_determinism(self):
         spec = NoiseSpec(10, 2.0, seed=3)
         assert np.array_equal(gen_noise(spec), gen_noise(spec))
-
-    def test_relative_zero_fraction(self):
-        assert np.array_equal(relative_noise([1.0, 2.0], 0.0, 4), np.zeros(2))
-
-    def test_relative_scaling(self):
-        u = np.array([3.0, 4.0])       # norm 5
-        e = relative_noise(u, 0.2, seed=5)
-        assert abs(np.linalg.norm(e) - 1.0) < 1e-12
-
-    def test_relative_rejects_zero_vector(self):
-        with pytest.raises(ValueError):
-            relative_noise(np.zeros(4), 0.1, seed=6)
-
-    def test_relative_determinism(self):
-        u = np.arange(1.0, 9.0)
-        assert np.array_equal(relative_noise(u, 0.3, 7), relative_noise(u, 0.3, 7))
 
 
 class TestCsv:

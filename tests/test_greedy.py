@@ -7,15 +7,12 @@ from sparsekit.ensembles import EnsembleSpec, SignalSpec, gen_matrix, gen_signal
 from sparsekit.greedy import (
     CosampConfig,
     StompConfig,
-    band_profile,
     cosamp,
-    halting_check,
     omp,
     prune,
     regularize,
     romp,
     stomp,
-    unrecoverable_energy,
 )
 from sparsekit.rng import CounterRng, stream_seed
 
@@ -261,6 +258,42 @@ class TestCosamp:
         for a in rep.estimate_history:
             assert np.count_nonzero(a) <= 4
 
+    def test_zero_samples_halt_on_zero_sample_norm(self):
+        A = gen_matrix(EnsembleSpec("gaussian", 16, 32, seed=23))
+        rep = cosamp(A, np.zeros(16), CosampConfig(2, halting="sample_norm",
+                                                   halt_value=0.0))
+        assert rep.iterations == 0
+        assert rep.halt_reason == "sample_norm_criterion"
+
+    def test_sample_norm_boundary_is_inclusive(self):
+        A = gen_matrix(EnsembleSpec("gaussian", 16, 32, seed=23))
+        u = CounterRng(24).normal(16)
+        rep = cosamp(A, u, CosampConfig(2, halting="sample_norm",
+                                        halt_value=np.linalg.norm(u)))
+        assert rep.iterations == 0
+        assert rep.halt_reason == "sample_norm_criterion"
+
+    def test_sample_norm_above_halt_value_does_not_halt(self):
+        A = gen_matrix(EnsembleSpec("gaussian", 16, 32, seed=23))
+        u = CounterRng(24).normal(16)
+        below = np.nextafter(np.linalg.norm(u), 0.0)
+        rep = cosamp(A, u, CosampConfig(2, halting="sample_norm",
+                                        halt_value=below))
+        assert rep.iterations >= 1
+
+    def test_proxy_infnorm_boundary_is_inclusive(self):
+        # with A = I the proxy is u itself, and eta / sqrt(2s) = eta / 2
+        # equals max|u| exactly
+        u = CounterRng(25).normal(16)
+        eta = 2 * float(np.max(np.abs(u)))
+        rep = cosamp(np.eye(16), u, CosampConfig(2, halting="proxy_infnorm",
+                                                 halt_value=eta))
+        assert rep.iterations == 0
+        assert rep.halt_reason == "proxy_infnorm_criterion"
+        rep = cosamp(np.eye(16), u, CosampConfig(
+            2, halting="proxy_infnorm", halt_value=np.nextafter(eta, 0.0)))
+        assert rep.iterations >= 1
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CosampConfig(0)
@@ -293,74 +326,6 @@ class TestPrune:
             lhs = np.linalg.norm(x - prune(b, s))
             rhs = 2 * np.linalg.norm(x - b)
             assert lhs <= rhs + 1e-12
-
-
-class TestUnrecoverableEnergy:
-    def test_sparse_noiseless_is_zero(self):
-        x = np.zeros(10)
-        x[[2, 4]] = 1.0
-        assert unrecoverable_energy(x, 2) == 0.0
-
-    def test_hand_example(self):
-        nu = unrecoverable_energy(np.array([2.0, 1.0, 1.0]), 1)
-        assert abs(nu - (np.sqrt(2) + 2.0)) < 1e-12
-
-    def test_additive_in_noise(self):
-        x = CounterRng(26).normal(12)
-        assert unrecoverable_energy(x, 3, 0.7) == pytest.approx(
-            unrecoverable_energy(x, 3, 0.0) + 0.7)
-
-
-class TestBandProfile:
-    def test_flat_profile_one(self):
-        for s in (1, 3, 8):
-            x = np.zeros(16)
-            x[:s] = 1.0
-            bp = band_profile(x)
-            assert bp.profile == 1
-            (j,) = bp.bands.keys()
-            assert 2.0 ** (-(j + 1)) < 1 / s <= 2.0 ** (-j)
-
-    def test_singleton(self):
-        bp = band_profile(np.array([1.0]))
-        assert bp.profile == 1 and list(bp.bands) == [0]
-
-    def test_two_scale_example(self):
-        bp = band_profile(np.array([1.0, 0.5]))
-        assert bp.profile == 2
-        assert sorted(bp.bands) == [0, 2]
-
-    def test_bands_partition_support(self):
-        rng = CounterRng(27)
-        for trial in range(200):
-            d = 2 + int(rng.uniform(1)[0] * 30)
-            x = rng.normal(d)
-            x[rng.uniform(d) < 0.3] = 0.0
-            if not np.any(x):
-                continue
-            bp = band_profile(x)
-            merged = np.sort(np.concatenate(list(bp.bands.values())))
-            np.testing.assert_array_equal(merged, np.flatnonzero(x))
-            total = float(x @ x)
-            for j, members in bp.bands.items():
-                for i in members:
-                    assert 2.0 ** (-(j + 1)) * total < x[i] ** 2 <= 2.0 ** (-j) * total * (1 + 1e-12)
-
-    def test_zero_vector_errors(self):
-        with pytest.raises(ValueError):
-            band_profile(np.zeros(4))
-
-
-class TestHaltingCheck:
-    def test_zero_always_triggers(self):
-        assert halting_check("sample_norm", 0.0, epsilon=0.0)
-
-    def test_boundary_inclusive(self):
-        assert halting_check("sample_norm", 0.5, epsilon=0.5)
-        assert halting_check("proxy_infnorm", 1.0 / np.sqrt(4), eta=1.0, s=2)
-
-    def test_above_boundary(self):
-        assert not halting_check("sample_norm", 0.500001, epsilon=0.5)
 
 
 class TestCosampContraction:

@@ -2,37 +2,8 @@ import numpy as np
 import pytest
 
 from sparsekit.ensembles import EnsembleSpec, gen_matrix
-from sparsekit.kaczmarz import project_row, rk_solve, rk_theory
+from sparsekit.kaczmarz import rk_solve, rk_theory
 from sparsekit.rng import CounterRng, stream_seed
-
-
-class TestProjectRow:
-    def test_point_on_hyperplane_unchanged(self):
-        a = np.array([1.0, 2.0])
-        x = np.array([2.0, 0.0])   # <a, x> = 2
-        np.testing.assert_allclose(project_row(x, a, 2.0), x, atol=1e-15)
-
-    def test_orthogonal_projection(self):
-        got = project_row(np.zeros(2), np.array([1.0, 0.0]), 2.0)
-        np.testing.assert_array_equal(got, [2.0, 0.0])
-
-    def test_lands_exactly_on_hyperplane(self):
-        rng = CounterRng(1)
-        for trial in range(100):
-            n = 2 + int(rng.uniform(1)[0] * 10)
-            a = rng.normal(n)
-            x = rng.normal(n)
-            b = float(rng.normal(1)[0])
-            y = project_row(x, a, b)
-            assert abs(a @ y - b) <= 1e-12 * max(1.0, abs(b), np.linalg.norm(a))
-            # displacement parallel to the row
-            disp = y - x
-            cross = disp - (disp @ a / (a @ a)) * a
-            assert np.linalg.norm(cross) <= 1e-12
-
-    def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
-            project_row(np.ones(2), np.zeros(2), 1.0)
 
 
 class TestTheory:
@@ -69,6 +40,32 @@ class TestSolve:
         x = CounterRng(3).normal(4)
         run = rk_solve(A, A @ x, x, 50, seed=4, x_ref=x)
         assert max(err for _, err in run.iterates_logged) <= 1e-12
+
+    def test_one_step_orthogonal_projection(self):
+        run = rk_solve(np.array([[1.0, 0.0]]), np.array([2.0]), np.zeros(2), 1)
+        np.testing.assert_array_equal(run.final_estimate, [2.0, 0.0])
+
+    def test_one_step_projects_onto_the_visited_row(self):
+        rng = CounterRng(1)
+        for trial in range(100):
+            n = 2 + int(rng.uniform(1)[0] * 10)
+            A = rng.normal(3 * n).reshape(3, n)
+            b = rng.normal(3)
+            x0 = rng.normal(n)
+            run = rk_solve(A, b, x0, 1, seed=trial)
+            a, bi = A[run.rows_visited[0]], b[run.rows_visited[0]]
+            x1 = run.final_estimate
+            assert abs(a @ x1 - bi) <= 1e-12 * max(1.0, abs(bi),
+                                                   np.linalg.norm(a))
+            # displacement parallel to the row
+            disp = x1 - x0
+            cross = disp - (disp @ a / (a @ a)) * a
+            assert np.linalg.norm(cross) <= 1e-12
+
+    def test_zero_row_rejected(self):
+        with pytest.raises(ValueError, match="zero row"):
+            rk_solve(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2),
+                     np.zeros(2), 10)
 
     def test_consistent_system_converges(self):
         A = CounterRng(5).normal(200).reshape(40, 5)

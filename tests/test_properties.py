@@ -46,6 +46,49 @@ def test_flag_beats_config_battery(capsys, tmp_path):
                        for line in out[1:]), argv
 
 
+def _negative(rng):
+    return repr(-0.01 - float(rng.uniform(1)[0]))
+
+
+# the settings each command starts from
+GRID_BASE = {"d": "16", "m": "8", "s": "1", "trials": "2",
+             "noise_fraction": "0.1"}
+RW_BASE = {"mu": "10", "eps": "0.1", "delta": "0.2"}
+# (commands, their settings, a draw of invalid settings that replace them)
+INVALID = (
+    (GRID_COMMANDS, GRID_BASE,
+     lambda rng: {"threads": str(-int(rng.uniform(1)[0] * 4))}),
+    (GRID_COMMANDS, GRID_BASE,
+     lambda rng: {"noise_norm": "0.5",
+                  "noise_mode": _pick(rng, ("measurement", "signal"))}),
+    (("rwbounds",), RW_BASE, lambda rng: {"eps": "0.1," + _negative(rng)}),
+    (("rwbounds",), RW_BASE,
+     lambda rng: {"tol": _pick(rng, ("0", _negative(rng)))}),
+    (("trend",), GRID_BASE,
+     lambda rng: {"level": _pick(rng, (
+         _negative(rng), repr(1.01 + 4 * float(rng.uniform(1)[0]))))}),
+)
+
+
+def test_invalid_setting_is_exit_2_battery(capsys, tmp_path):
+    rng = CounterRng(stream_seed("invalid-setting"))
+    cfg = tmp_path / "run.cfg"
+    for _ in range(40):
+        commands, base, draw = _pick(rng, INVALID)
+        command = _pick(rng, commands)
+        bad = draw(rng)
+        given = {k: v for k, v in base.items() if k not in bad}
+        argv = [command]
+        if _pick(rng, ("flag", "config")) == "flag":
+            given.update(bad)
+        else:
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in bad.items()))
+            argv += ["--config", str(cfg)]
+        argv += [f"--{k.replace('_', '-')}={v}" for k, v in given.items()]
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == (2, ""), argv
+
+
 SOLVERS = {
     "stomp": stomp,
     "romp": lambda A, u: romp(A, u, 2),
