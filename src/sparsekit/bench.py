@@ -50,6 +50,8 @@ class ExperimentGrid:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.d < 1:
+            raise ValueError("d must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.noise_mode not in ("measurement", "signal"):
@@ -58,11 +60,14 @@ class ExperimentGrid:
             raise ValueError("give noise_norm or noise_fraction, not both")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if not self.success_threshold >= 0:
+            raise ValueError("success_threshold must be >= 0")
         if not self.m_values or not self.s_values:
             raise ValueError("m_values and s_values must be non-empty")
         for m in self.m_values:
             if m > self.d:
-                warnings.warn(f"cell with m={m} > d={self.d}", stacklevel=2)
+                # level 3: past the dataclass-generated __init__ to its caller
+                warnings.warn(f"cell with m={m} > d={self.d}", stacklevel=3)
 
 
 def run_algorithm(algorithm, A, u, s, e_norm=0.0):
@@ -287,6 +292,8 @@ def run_kaczmarz_study(m, n, trials, iters, noise_fraction, seed,
 def run_rw_bounds(mu, eps_list, delta_list, tol=1e-3):
     """Iterations until the reweighted error bound is within ``tol`` of its
     limit, per (eps, delta) cell; hypothesis-violating cells are marked."""
+    if np.isnan(mu):
+        raise ValueError("mu must not be NaN")
     if not tol > 0:
         raise ValueError("tol must be > 0")
     if not all(eps >= 0 for eps in eps_list):

@@ -347,7 +347,7 @@ def rw_error_recursion(mu, eps, delta, tol=1e-3):
         raise ValueError("eps must be >= 0")
     if eps == 0:
         return RwBounds(rho, alpha, np.zeros(1), 0.0, 1)
-    if mu < 4.0 * alpha * eps / (1.0 - rho):
+    if not mu >= 4.0 * alpha * eps / (1.0 - rho):     # NaN mu fails too
         raise ValueError(
             "hypothesis violated: mu must be at least 4*alpha*eps/(1-rho)")
     ratio = 4.0 * alpha * eps / mu

@@ -5,7 +5,8 @@ Families
 gaussian     i.i.d. standard normal entries, optionally scaled by 1/sqrt(m)
 bernoulli    i.i.d. uniform +-1 entries, optionally scaled by 1/sqrt(m)
 partial_dct  m rows drawn without replacement from the d x d orthogonal
-             DCT-II matrix, optionally scaled by sqrt(d/m)
+             DCT-II matrix, optionally scaled by sqrt(d/m); only those m
+             rows are evaluated
 
 Signals are flat (unit entries, optionally random signs) or compressible
 (the i-th selected entry gets magnitude i**(-1/p) with a random sign).
@@ -73,12 +74,17 @@ class NoiseSpec:
             raise ValueError("target_norm must be >= 0")
 
 
-def dct_matrix(d):
-    """Orthogonal d x d DCT-II matrix (rows orthonormal, entries <= sqrt(2/d))."""
-    k = np.arange(d)[:, None]
+def dct_matrix(d, rows=None):
+    """Rows of the orthogonal d x d DCT-II matrix (rows orthonormal, entries
+    <= sqrt(2/d)); all d rows by default.
+
+    Only the selected rows are evaluated, and they hold the same bytes as
+    the same rows sliced from the full matrix.
+    """
+    k = (np.arange(d) if rows is None else np.asarray(rows, dtype=np.intp))[:, None]
     j = np.arange(d)[None, :]
     C = np.sqrt(2.0 / d) * np.cos(np.pi * (2 * j + 1) * k / (2 * d))
-    C[0, :] /= np.sqrt(2.0)
+    C[k[:, 0] == 0, :] /= np.sqrt(2.0)
     return C
 
 
@@ -95,8 +101,7 @@ def gen_matrix(spec):
         if spec.normalize:
             A /= np.sqrt(m)
     else:
-        rows = np.sort(rng.permutation(d)[:m])
-        A = dct_matrix(d)[rows, :]
+        A = dct_matrix(d, np.sort(rng.permutation(d)[:m]))
         if spec.normalize:
             A *= np.sqrt(d / m)
     return A

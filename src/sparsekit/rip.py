@@ -14,12 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
-from .rng import CounterRng, stream_seed
+from .rng import CounterRng, stream_seed, stream_subsets
 
 
 # supports scanned per eigvalsh batch, and the default enumeration cap
 CHUNK = 4096
 ENUMERATION_CAP = 2_000_000
+# raw keys drawn at once for sampled supports (8 MB of uint64): a large d
+# shrinks the batch rather than growing the key array
+DRAW_KEYS = 1 << 20
 
 
 class EnumerationCapError(RuntimeError):
@@ -50,6 +53,19 @@ def _support_chunks(d, r):
         if not block:
             return
         yield np.asarray(block, dtype=np.intp)
+
+
+def _sampled_chunks(d, r, trials, prefix):
+    """Supports t = 0 .. trials-1, each ``CounterRng(stream_seed(seed, "ric",
+    t)).subset(d, r)`` for ``prefix = stream_seed(seed, "ric")``, in blocks
+    of CHUNK; at most DRAW_KEYS raw keys (or one row of d) are held at
+    once."""
+    batch = max(1, DRAW_KEYS // d)
+    for start in range(0, trials, CHUNK):
+        stop = min(start + CHUNK, trials)
+        yield np.concatenate([
+            stream_subsets(prefix, np.arange(lo, min(lo + batch, stop)), d, r)
+            for lo in range(start, stop, batch)])
 
 
 def _gram_extremes(A, supports):
@@ -96,9 +112,12 @@ def ric_exact(A, r, cap=ENUMERATION_CAP):
 def ric_monte_carlo(A, r, trials, seed=0):
     """Sampled lower bound on the order-r constant.
 
-    The t-th sampled support depends only on (seed, t), so enlarging
+    The t-th sampled support is ``CounterRng(stream_seed(seed, "ric",
+    t)).subset(d, r)``; it depends only on (seed, t), so enlarging
     ``trials`` extends the same sample and the report is non-decreasing.
-    Exhaustive coverage (trials >= C(d, r)) falls back to enumeration.
+    The supports are drawn a batch at a time (``rng.stream_subsets``),
+    giving exactly the supports of that per-sample loop.  Exhaustive
+    coverage (trials >= C(d, r)) falls back to enumeration.
     """
     A = as_matrix(A)
     d = A.shape[1]
@@ -109,15 +128,8 @@ def ric_monte_carlo(A, r, trials, seed=0):
     if math.comb(d, r) <= trials:
         delta, witness, lower, upper = _scan(A, _support_chunks(d, r))
     else:
-        def sampled():
-            for start in range(0, trials, CHUNK):
-                block = [
-                    CounterRng(stream_seed(seed, "ric", t)).subset(d, r)
-                    for t in range(start, min(start + CHUNK, trials))
-                ]
-                yield np.asarray(block, dtype=np.intp)
-
-        delta, witness, lower, upper = _scan(A, sampled())
+        delta, witness, lower, upper = _scan(
+            A, _sampled_chunks(d, r, trials, stream_seed(seed, "ric")))
     return RicReport(r, max(delta, 0.0), "monte_carlo", witness, lower, upper, trials)
 
 

@@ -19,7 +19,15 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 
 
+def _mix64(z):
+    """SplitMix64 finalizer on a uint64 array (wrapping arithmetic)."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX_A
+    z = (z ^ (z >> np.uint64(27))) * _MIX_B
+    return z ^ (z >> np.uint64(31))
+
+
 def _mix64_int(z):
+    """The same finalizer on one Python int, for the ``stream_seed`` fold."""
     z &= _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -59,10 +67,7 @@ class CounterRng:
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
         with np.errstate(over="ignore"):
-            z = self._seed + idx * _GAMMA_U
-            z = (z ^ (z >> np.uint64(30))) * _MIX_A
-            z = (z ^ (z >> np.uint64(27))) * _MIX_B
-            return z ^ (z >> np.uint64(31))
+            return _mix64(self._seed + idx * _GAMMA_U)
 
     def uniform(self, n):
         """``n`` doubles in the open interval (0, 1)."""
@@ -95,3 +100,23 @@ class CounterRng:
     def subset(self, n, k):
         """Sorted uniform random k-subset of ``range(n)``."""
         return np.sort(self.permutation(n)[:k])
+
+
+def stream_subsets(prefix, counters, n, k):
+    """Row i is ``CounterRng(stream_seed(*tokens, counters[i])).subset(n, k)``
+    for ``prefix = stream_seed(*tokens)``, drawn for all rows at once.
+
+    The last fold of ``stream_seed`` and the ``n`` raw draws of each stream
+    run in wrapping uint64 arithmetic over the whole batch.  ``subset``
+    keeps the positions of the k smallest draws; here a row-wise partition
+    finds them.  No ties can reorder them: the draws of one stream are
+    distinct, because ``seed + i*GAMMA`` is distinct for i = 1..n (GAMMA is
+    odd) and the finalizer is a bijection.  ``counters`` holds
+    non-negative integers, and 1 <= k <= n.
+    """
+    counters = np.asarray(counters, dtype=np.uint64)
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        seeds = _mix64((np.uint64(prefix) ^ counters) + _GAMMA_U)
+        keys = _mix64(seeds[:, None] + idx * _GAMMA_U)
+    return np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,27 @@ class TestGrid:
     def test_m_larger_than_d_warns(self):
         with pytest.warns(UserWarning):
             small_grid(m_values=(64,))
+
+    def test_m_larger_than_d_warning_names_the_caller(self):
+        with pytest.warns(UserWarning) as record:
+            small_grid(m_values=(64,))
+        assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("d", [0, -4])
+    def test_d_below_one_rejected_before_warning(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="d must"):
+                small_grid(d=d)
+
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-12, float("nan")])
+    def test_threshold_below_zero_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            small_grid(success_threshold=threshold)
+
+    def test_threshold_zero_counts_exact_recoveries(self):
+        grid = small_grid(s_values=(0,), trials=2, success_threshold=0.0)
+        assert bench.run_phase_transition(grid)[0]["success_count"] == 2
 
     def test_trial_seed_ignores_grid_shape(self):
         # adding cells or algorithms never perturbs an existing trial seed
@@ -230,6 +253,11 @@ class TestRwBoundsStudy:
     def test_tol_not_positive_rejected(self, tol):
         with pytest.raises(ValueError, match="tol"):
             bench.run_rw_bounds(10.0, [0.1], [0.2], tol=tol)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_nan_mu_rejected(self, eps):
+        with pytest.raises(ValueError, match="mu"):
+            bench.run_rw_bounds(float("nan"), [eps], [0.2])
 
 
 class TestSerialization:

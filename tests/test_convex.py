@@ -208,3 +208,7 @@ class TestErrorRecursion:
     def test_hypothesis_violation(self):
         with pytest.raises(ValueError):
             rw_error_recursion(0.1, 1.0, 0.2)
+
+    def test_nan_mu_violates_hypothesis(self):
+        with pytest.raises(ValueError, match="hypothesis"):
+            rw_error_recursion(float("nan"), 0.1, 0.2)

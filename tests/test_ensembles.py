@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from sparsekit.ensembles import (
     save_matrix_csv,
     save_vector_csv,
 )
+from sparsekit.rng import CounterRng, stream_seed
 
 
 class TestMatrices:
@@ -55,6 +58,48 @@ class TestMatrices:
     def test_partial_dct_needs_wide_shape(self):
         with pytest.raises(ValueError):
             EnsembleSpec("partial_dct", 10, 5)
+
+
+class TestDctRows:
+    """Evaluating only the selected rows gives the bytes of slicing all d."""
+
+    @pytest.mark.parametrize("d", [64, 256, 1024])
+    def test_selected_rows_equal_full_slice(self, d):
+        full = dct_matrix(d)
+        rng = CounterRng(stream_seed("dct-rows", d))
+        for case in range(20):
+            size = 1 + int(rng.uniform(1)[0] * (d - 1))
+            rows = 1 + rng.permutation(d - 1)[:size]       # omits row 0
+            if case % 2:
+                rows = np.append(rows, 0)
+            if case % 4 < 2:
+                rows = np.sort(rows)
+            got = dct_matrix(d, rows)
+            assert got.shape == (rows.size, d)
+            assert got.tobytes() == full[rows].tobytes(), (d, case)
+
+    @pytest.mark.parametrize("m, d, normalize", [
+        (1, 64, True), (16, 64, True), (64, 64, True), (100, 256, False),
+        (256, 1024, True), (512, 1024, True)])
+    def test_gen_matrix_equals_full_build(self, m, d, normalize):
+        for seed in range(3):
+            rng = CounterRng(stream_seed(seed, "matrix", "partial_dct"))
+            want = dct_matrix(d)[np.sort(rng.permutation(d)[:m]), :]
+            if normalize:
+                want *= np.sqrt(d / m)
+            A = gen_matrix(EnsembleSpec("partial_dct", m, d, seed=seed,
+                                        normalize=normalize))
+            assert A.tobytes() == want.tobytes(), (m, d, seed)
+
+    def test_memory_follows_selected_rows(self):
+        tracemalloc.start()
+        try:
+            A = gen_matrix(EnsembleSpec("partial_dct", 16, 4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.shape == (16, 4096)
+        assert peak < 8 * 2**20         # all 4096 x 4096 rows take 128 MB
 
 
 class TestSignals:

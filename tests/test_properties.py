@@ -67,19 +67,25 @@ INVALID = (
     (("trend",), GRID_BASE,
      lambda rng: {"level": _pick(rng, (
          _negative(rng), repr(1.01 + 4 * float(rng.uniform(1)[0]))))}),
+    (GRID_COMMANDS, GRID_BASE,
+     lambda rng: {"threshold": _pick(rng, (_negative(rng), "nan"))}),
+    (("rwbounds",), RW_BASE, lambda rng: {"mu": "nan"}),
 )
 
 
 def test_invalid_setting_is_exit_2_battery(capsys, tmp_path):
     rng = CounterRng(stream_seed("invalid-setting"))
     cfg = tmp_path / "run.cfg"
-    for _ in range(40):
-        commands, base, draw = _pick(rng, INVALID)
+    drawn = set()
+    for _ in range(48):
+        kind = _pick(rng, INVALID)
+        commands, base, draw = kind
         command = _pick(rng, commands)
         bad = draw(rng)
         given = {k: v for k, v in base.items() if k not in bad}
         argv = [command]
-        if _pick(rng, ("flag", "config")) == "flag":
+        form = _pick(rng, ("flag", "config"))
+        if form == "flag":
             given.update(bad)
         else:
             cfg.write_text("".join(f"{k} = {v}\n" for k, v in bad.items()))
@@ -87,6 +93,8 @@ def test_invalid_setting_is_exit_2_battery(capsys, tmp_path):
         argv += [f"--{k.replace('_', '-')}={v}" for k, v in given.items()]
         code = main(argv)
         assert (code, capsys.readouterr().out) == (2, ""), argv
+        drawn.add((INVALID.index(kind), form))
+    assert len(drawn) == 2 * len(INVALID)    # every kind, as flag and config
 
 
 SOLVERS = {

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsekit import rip
 from sparsekit.ensembles import EnsembleSpec, gen_matrix
 from sparsekit.rip import (
     EnumerationCapError,
@@ -99,6 +100,27 @@ class TestRicMonteCarlo:
         exact = ric_exact(A, 3).delta
         mc = ric_monte_carlo(A, 3, trials=50, seed=4)
         assert mc.delta <= exact + 1e-12
+
+
+class TestSampledSupports:
+    """The batched draw gives the supports of the per-sample stream loop."""
+
+    # (d, r, seed, trials): the first crosses a CHUNK boundary, the fourth
+    # a DRAW_KEYS batch boundary inside one chunk
+    @pytest.mark.parametrize("d, r, seed, trials", [
+        (40, 3, 1, rip.CHUNK + 60), (256, 8, 2, 1000), (12, 2, 7, 300),
+        (1500, 5, 3, 800)])
+    def test_batched_supports_equal_per_sample_loop(self, d, r, seed, trials):
+        blocks = list(rip._sampled_chunks(d, r, trials,
+                                          stream_seed(seed, "ric")))
+        assert [len(b) for b in blocks] == [
+            min(rip.CHUNK, trials - start)
+            for start in range(0, trials, rip.CHUNK)]
+        want = np.array([CounterRng(stream_seed(seed, "ric", t)).subset(d, r)
+                         for t in range(trials)])
+        got = np.concatenate(blocks)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestConsequences:
