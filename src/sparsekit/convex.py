@@ -3,8 +3,11 @@
 ``bp_equality`` solves  min ||z||_1  s.t.  Az = u  through the standard
 linear-program recast (variables (z, t), objective sum(t), constraints
 -t <= z <= t) with a primal-dual interior-point method and dense Schur
-solves.  ``bp_denoise`` solves  min ||z||_1  s.t.  ||Az - u||_2 <= eps
-with a log-barrier Newton method on the quadratically constrained form.
+solves.  Its start point, dual start and final feasibility restore solve
+through the Gram matrix AA^T, falling back to SVD least squares when A is
+nearly rank-deficient.  ``bp_denoise`` solves  min ||z||_1  s.t.
+||Az - u||_2 <= eps  with a log-barrier Newton method on the quadratically
+constrained form.
 Weighted problems are reduced to the unweighted solver by column scaling.
 """
 
@@ -34,6 +37,7 @@ BP_MAX_ITERS = 60            # or this many interior-point steps
 BARRIER_GAP_TARGET = 1e-8    # bp_denoise: final duality-gap target,
 NEWTON_TOL = 1e-6            # Newton decrement tolerance and
 MAX_NEWTON = 60              # Newton-step cap per barrier stage
+GRAM_MIN_RCOND = 1e-8        # bp_equality solves through AA^T above this
 
 
 def _scale_columns(A, weights, d):
@@ -64,6 +68,34 @@ def bp_equality(A, u, weights=None):
     return z
 
 
+def _range_solvers(A):
+    """``(least_norm, dual_least_squares)`` for an m x d matrix A:
+    ``least_norm(r)`` is the minimum-norm least-squares solution of Az = r,
+    ``dual_least_squares(b)`` the least-squares solution of A^T nu = b.
+
+    Both come from the m x m Gram matrix G = AA^T, as in l1-magic's
+    ``l1eq_pd``: A^T G^-1 r and G^-1 A b.  The normal equations square
+    cond(A), so when A is rank-deficient or nearly so both fall back to SVD
+    ``lstsq``: when the Cholesky factor L of G does not exist, or when
+    (min diag L / max diag L)^2, which estimates 1/cond(G) from above, is
+    below GRAM_MIN_RCOND.  Without the fallback, two rows 1e-7 apart made
+    the interior-point method fail where lstsq recovers the vertex, and
+    rows 1e-9 apart gave a point below the true l1 optimum.  The threshold
+    is 1e-8 because at 1e-10 some 6 x 12 instances just above it ended 5e-4
+    from the vertex, where lstsq ended within 4e-6."""
+    G = A @ A.T
+    try:
+        diag = np.diag(np.linalg.cholesky(G))
+        well_posed = (diag.min() / diag.max()) ** 2 >= GRAM_MIN_RCOND
+    except np.linalg.LinAlgError:
+        well_posed = False
+    if well_posed:
+        return (lambda r: A.T @ np.linalg.solve(G, r),
+                lambda b: np.linalg.solve(G, A @ b))
+    return (lambda r: np.linalg.lstsq(A, r, rcond=None)[0],
+            lambda b: np.linalg.lstsq(A.T, b, rcond=None)[0])
+
+
 def _bp_equality_full(A, u, weights=None):
     A = as_matrix(A)
     m, d = A.shape
@@ -71,7 +103,8 @@ def _bp_equality_full(A, u, weights=None):
     A, w = _scale_columns(A, weights, d)
     uscale = max(1.0, np.linalg.norm(u))
 
-    z0, *_ = np.linalg.lstsq(A, u, rcond=None)
+    least_norm, dual_least_squares = _range_solvers(A)
+    z0 = least_norm(u)
     if np.linalg.norm(A @ z0 - u) > 1e-8 * uscale:
         raise InfeasibleError("u is not in the range of the measurement matrix")
     if np.linalg.norm(u) == 0:
@@ -83,7 +116,7 @@ def _bp_equality_full(A, u, weights=None):
     fu2 = -z - t
     lam1 = -1.0 / fu1
     lam2 = -1.0 / fu2
-    nu, *_ = np.linalg.lstsq(A.T, -(lam1 - lam2), rcond=None)
+    nu = dual_least_squares(-(lam1 - lam2))
     mu = 10.0
 
     def residuals(z, fu1, fu2, lam1, lam2, nu, tau):
@@ -95,8 +128,7 @@ def _bp_equality_full(A, u, weights=None):
     def restore_feasibility(z):
         # least-norm correction back onto {Az = u}; moves the objective by
         # at most sqrt(d) times the residual, far inside the gap contract
-        corr, *_ = np.linalg.lstsq(A, u - A @ z, rcond=None)
-        return z + corr
+        return z + least_norm(u - A @ z)
 
     def within_contract(z, t, sdg):
         return (sdg <= GAP_CONTRACT * max(1.0, float(np.sum(t)))
@@ -171,7 +203,7 @@ def bp_denoise(A, u, eps, weights=None):
     A = as_matrix(A)
     m, d = A.shape
     u = as_vector(u, m, "u")
-    if eps < 0:
+    if not eps >= 0:                  # NaN eps fails too
         raise ValueError("eps must be >= 0")
     if eps == 0:
         return bp_equality(A, u, weights)
@@ -281,7 +313,7 @@ class RwConfig:
     max_iters: int = 9
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:     # NaN epsilon fails too
             raise ValueError("epsilon must be >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -345,11 +377,12 @@ def rw_error_recursion(mu, eps, delta, tol=1e-3):
     rho, alpha = rw_constants(delta)
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    if eps == 0:
-        return RwBounds(rho, alpha, np.zeros(1), 0.0, 1)
-    if not mu >= 4.0 * alpha * eps / (1.0 - rho):     # NaN mu fails too
+    # at eps = 0 the hypothesis reads mu >= 0; NaN mu fails it too
+    if not mu >= 4.0 * alpha * eps / (1.0 - rho):
         raise ValueError(
             "hypothesis violated: mu must be at least 4*alpha*eps/(1-rho)")
+    if eps == 0:
+        return RwBounds(rho, alpha, np.zeros(1), 0.0, 1)
     ratio = 4.0 * alpha * eps / mu
     L = 2.0 * alpha * eps / (1.0 + np.sqrt(1.0 - ratio - ratio * rho))
     E = [2.0 * alpha * eps / (1.0 - rho)]

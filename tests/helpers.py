@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from sparsekit.ensembles import EnsembleSpec, NoiseSpec, SignalSpec, gen_matrix, gen_noise, gen_signal
 from sparsekit.rng import CounterRng, stream_seed
 
 
@@ -48,3 +49,19 @@ def l1_vertex_oracle(A, u, tol=1e-9):
         return None, False
     unique = all(np.linalg.norm(s - solutions[0]) <= 1e-7 for s in solutions)
     return solutions[0], unique
+
+
+def noisy_reweighted_instance(seed):
+    """Acceptance criterion 10's instance: d=256, m=128, s=30 with random
+    signs and 20% relative measurement noise.  Returns (A, x, u, eps) with
+    eps the noise bound handed to each reweighted solve."""
+    A = gen_matrix(EnsembleSpec("gaussian", 128, 256,
+                                seed=stream_seed("acc10", seed)))
+    x = gen_signal(SignalSpec(256, 30, seed=stream_seed("acc10-sig", seed),
+                              random_signs=True))
+    u_clean = A @ x
+    e = gen_noise(NoiseSpec(128, 0.2 * float(np.linalg.norm(u_clean)),
+                            seed=stream_seed("acc10-noise", seed)))
+    sigma = np.linalg.norm(e) / np.sqrt(128)
+    eps = float(np.sqrt(sigma**2 * (128 + 2 * np.sqrt(2 * 128))))
+    return A, x, u_clean + e, eps

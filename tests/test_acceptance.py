@@ -9,7 +9,7 @@ fixed here, not tuned at runtime.
 import numpy as np
 import pytest
 
-from helpers import l1_vertex_oracle, near_orthonormal
+from helpers import l1_vertex_oracle, near_orthonormal, noisy_reweighted_instance
 
 import sparsekit as sk
 from sparsekit import bench
@@ -338,18 +338,8 @@ def test_10_reweighted_improvement_direction():
     ninth reweighted iterate beats the first in median."""
     ratios = []
     for seed in range(100):
-        A = sk.gen_matrix(sk.EnsembleSpec(
-            "gaussian", 128, 256, seed=stream_seed("acc10", seed)))
-        x = sk.gen_signal(sk.SignalSpec(
-            256, 30, seed=stream_seed("acc10-sig", seed), random_signs=True))
-        u_clean = A @ x
-        e = sk.gen_noise(sk.NoiseSpec(
-            128, 0.2 * float(np.linalg.norm(u_clean)),
-            seed=stream_seed("acc10-noise", seed)))
-        sigma = np.linalg.norm(e) / np.sqrt(128)
-        eps = float(np.sqrt(sigma**2 * (128 + 2 * np.sqrt(2 * 128))))
-        rep = sk.reweighted_l1(A, u_clean + e,
-                               sk.RwConfig(epsilon=eps, max_iters=9))
+        A, x, u, eps = noisy_reweighted_instance(seed)
+        rep = sk.reweighted_l1(A, u, sk.RwConfig(epsilon=eps, max_iters=9))
         first, ninth = rep.estimate_history[0], rep.estimate_history[8]
         ratios.append(np.linalg.norm(x - ninth) / np.linalg.norm(x - first))
     median = float(np.median(ratios))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsekit.cli import main
+from sparsekit.cli import build_parser, main
 from sparsekit.ensembles import EnsembleSpec, SignalSpec, gen_matrix, gen_signal, save_matrix_csv, save_vector_csv
 
 
@@ -169,6 +169,30 @@ class TestConfigFile:
         assert from_config == from_flag != without
 
 
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_leaks_no_state(self, capsys, tmp_path):
+        plain = ("phase", "--algo", "omp", "--d", "32", "--m", "16",
+                 "--s", "1,2", "--trials", "4", "--seed", "3")
+        code, first, _ = run_cli(capsys, *plain)
+        assert code == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("algo = romp\ntrials = 2\nrandom-signs = true\n")
+        code, configured, _ = run_cli(capsys, "phase", "--config", str(cfg),
+                                      "--d", "32", "--m", "16", "--s", "2")
+        assert code == 0 and configured.splitlines()[1].startswith("romp,")
+        code, out, _ = run_cli(capsys, *plain, "--threshold", "-1")
+        assert code == 2 and out == ""
+        with pytest.raises(SystemExit) as exc:
+            main(["phase", "--algo", "nope"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, again, _ = run_cli(capsys, *plain)
+        assert code == 0 and again == first
+
+
 class TestOtherSubcommands:
     def test_trend(self, capsys):
         code, out, _ = run_cli(capsys, "trend", "--algo", "omp", "--d", "32",
@@ -216,6 +240,13 @@ class TestOtherSubcommands:
         code, out, _ = run_cli(capsys, "rwbounds", "--mu", "10",
                                "--eps", "0.1", "--delta", "0.1,0.2")
         assert code == 0 and len(out.strip().splitlines()) == 3
+
+    def test_rwbounds_negative_mu_violates_hypothesis(self, capsys):
+        code, out, _ = run_cli(capsys, "rwbounds", "--mu", "-5",
+                               "--eps", "0,0.1", "--delta", "0.2")
+        rows = out.strip().splitlines()
+        assert code == 0 and len(rows) == 3
+        assert all(r.endswith(",false") for r in rows[1:])
 
     def test_ric_json(self, capsys):
         code, out, _ = run_cli(capsys, "ric", "--d", "10", "--m", "8",
