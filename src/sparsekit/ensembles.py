@@ -79,11 +79,17 @@ def dct_matrix(d, rows=None):
     <= sqrt(2/d)); all d rows by default.
 
     Only the selected rows are evaluated, and they hold the same bytes as
-    the same rows sliced from the full matrix.
+    the same rows sliced from the full matrix.  The m x d result is built in
+    one buffer: each step of sqrt(2/d) * cos(pi (2j+1) k / 2d) runs in
+    place, in the order of that expression, so the peak allocation is about
+    one output and every entry gets the same IEEE operations.
     """
     k = (np.arange(d) if rows is None else np.asarray(rows, dtype=np.intp))[:, None]
     j = np.arange(d)[None, :]
-    C = np.sqrt(2.0 / d) * np.cos(np.pi * (2 * j + 1) * k / (2 * d))
+    C = np.pi * (2 * j + 1) * k
+    C /= 2 * d
+    np.cos(C, out=C)
+    np.multiply(np.sqrt(2.0 / d), C, out=C)
     C[k[:, 0] == 0, :] /= np.sqrt(2.0)
     return C
 

@@ -42,7 +42,7 @@ class StompConfig:
     max_stages: int = 10
 
     def __post_init__(self):
-        if self.t <= 0:
+        if not self.t > 0:
             raise ValueError("threshold parameter t must be > 0")
         if self.max_stages < 1:
             raise ValueError("max_stages must be >= 1")
@@ -53,10 +53,12 @@ class CosampConfig:
     """CoSaMP settings.
 
     ``halting`` is one of ``fixed_iterations`` (halt_value = iteration
-    count, default 6(s+1)), ``sample_norm`` (halt_value = epsilon; halts
-    when ||v|| <= epsilon), or ``proxy_infnorm`` (halt_value = eta; halts
-    when ||A'v||_inf <= eta/sqrt(2s)).  Both tests include the boundary.
-    Norm-based modes keep ``max_iters`` as a safety cap (default 6(s+1)).  Every run also halts once ||v|| <=
+    count, a whole number >= 1, default 6(s+1)), ``sample_norm``
+    (halt_value = epsilon >= 0; halts when ||v|| <= epsilon), or
+    ``proxy_infnorm`` (halt_value = eta >= 0; halts when
+    ||A'v||_inf <= eta/sqrt(2s)).  Both tests include the boundary.
+    Norm-based modes keep ``max_iters`` (>= 1 when given) as a safety cap
+    (default 6(s+1)).  Every run also halts once ||v|| <=
     ``residual_tol``.  The least-squares step is always ``COSAMP_LS``:
     three conjugate-gradient iterations warm-started from the running
     estimate.
@@ -73,8 +75,16 @@ class CosampConfig:
             raise ValueError("sparsity s must be >= 1")
         if self.halting not in ("fixed_iterations", "sample_norm", "proxy_infnorm"):
             raise ValueError(f"unknown halting rule {self.halting!r}")
-        if self.halting != "fixed_iterations" and self.halt_value is None:
-            raise ValueError(f"halting rule {self.halting!r} needs a halt_value")
+        if self.halting != "fixed_iterations":
+            if self.halt_value is None:
+                raise ValueError(f"halting rule {self.halting!r} needs a halt_value")
+            if not self.halt_value >= 0:
+                raise ValueError(f"halting rule {self.halting!r} needs halt_value >= 0")
+        elif self.halt_value is not None and not (
+                self.halt_value >= 1 and float(self.halt_value).is_integer()):
+            raise ValueError("fixed_iterations needs a whole-number halt_value >= 1")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
     @property
     def iteration_cap(self):
@@ -153,6 +163,8 @@ def omp(A, u, s):
     A = as_matrix(A)
     m, d = A.shape
     u = as_vector(u, m, "u")
+    if s < 1:
+        raise ValueError("sparsity s must be >= 1")
     if s > m:
         raise ValueError(f"sparsity s={s} exceeds {m} measurements")
     I = np.zeros(0, dtype=np.intp)

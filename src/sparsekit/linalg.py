@@ -4,6 +4,11 @@ Input validation, iterative least squares (Richardson and conjugate
 gradient on the normal equations), extreme singular values via
 cyclic Jacobi on the Gram matrix, and magnitude top-k selection.  Everything
 here is a pure function of its inputs; no randomness, no shared state.
+
+Every kernel checks the entries it reads for finiteness.
+``pseudoinverse_apply`` reads only its support columns, so it checks only
+those; callers that loop over supports (the greedy solvers) check the whole
+matrix once up front.
 """
 
 from dataclasses import dataclass
@@ -34,14 +39,19 @@ class LsConfig:
             raise ValueError(f"unknown least-squares method {self.method!r}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
 
 
-def as_matrix(A):
+def _as_2d(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={A.ndim}")
+    return A
+
+
+def as_matrix(A):
+    A = _as_2d(A)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     return A
@@ -138,8 +148,14 @@ def pseudoinverse_apply(A, T, u, cfg=None, z0=None):
 
     ``z0`` optionally warm-starts the iterative solver with a full-length
     vector (its restriction to T is used).
+
+    Only the columns in T are read, and only they are checked for finite
+    entries (by ``least_squares``): a NaN or inf in a column of T raises
+    ``ValueError``, while one outside T does not affect the result.  The
+    greedy solvers check all of A once on entry, so this call skips the
+    m x d scan it would otherwise repeat every iteration.
     """
-    A = as_matrix(A)
+    A = _as_2d(A)
     m, d = A.shape
     idx = as_index_set(T, d)
     if idx.size > m:

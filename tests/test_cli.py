@@ -303,6 +303,18 @@ class TestRecover:
                                "--signal", str(sig))
         assert code == 2
 
+    def test_negative_sparsity_is_exit_2(self, capsys, tmp_path):
+        # omp with s < 1 used to return an all-zero estimate and exit 0
+        A = gen_matrix(EnsembleSpec("gaussian", 12, 24, seed=9))
+        amat = tmp_path / "A.csv"
+        sig = tmp_path / "x.csv"
+        save_matrix_csv(amat, A, seed=9)
+        save_vector_csv(sig, gen_signal(SignalSpec(24, 2, seed=10)), seed=10)
+        code, out, err = run_cli(capsys, "recover", "--matrix", str(amat),
+                                 "--signal", str(sig), "--algo", "omp",
+                                 "--s", "-2")
+        assert code == 2 and out == "" and "s must be >= 1" in err
+
     def test_non_finite_signal_is_exit_2(self, capsys, tmp_path):
         A = gen_matrix(EnsembleSpec("gaussian", 12, 24, seed=9))
         x = gen_signal(SignalSpec(24, 2, seed=10))

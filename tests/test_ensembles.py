@@ -91,6 +91,38 @@ class TestDctRows:
                                         normalize=normalize))
             assert A.tobytes() == want.tobytes(), (m, d, seed)
 
+    @staticmethod
+    def closed_form(d, rows):
+        """The DCT-II rows as one expression, without the in-place build."""
+        k = np.asarray(rows, dtype=np.intp)[:, None]
+        j = np.arange(d)[None, :]
+        C = np.sqrt(2.0 / d) * np.cos(np.pi * (2 * j + 1) * k / (2 * d))
+        C[k[:, 0] == 0, :] /= np.sqrt(2.0)
+        return C
+
+    @pytest.mark.parametrize("d", [7, 64, 1024])
+    def test_equals_closed_form(self, d):
+        rng = CounterRng(stream_seed("dct-closed-form", d))
+        perm = rng.permutation(d)
+        cases = [np.arange(d), np.arange(1, d), perm[: max(1, d // 3)],
+                 np.append(perm[perm != 0][:5], 0), np.array([0]),
+                 np.sort(perm[: d // 2])]
+        for rows in cases:
+            got = dct_matrix(d, rows)
+            assert got.tobytes() == self.closed_form(d, rows).tobytes(), (d, rows)
+        assert dct_matrix(d).tobytes() == self.closed_form(d, np.arange(d)).tobytes()
+
+    def test_build_peak_is_one_output(self):
+        rows = np.sort(CounterRng(stream_seed("dct-peak")).permutation(1024)[:512])
+        tracemalloc.start()
+        try:
+            C = dct_matrix(1024, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one expression with four m x d temporaries peaks at twice the output
+        assert peak <= 1.25 * C.nbytes, peak / C.nbytes
+
     def test_memory_follows_selected_rows(self):
         tracemalloc.start()
         try:

@@ -66,6 +66,11 @@ class TestOmp:
         sizes = [omp(A, u, s).support.size for s in range(1, 6)]
         assert sizes == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("s", [0, -2])
+    def test_sparsity_below_one_rejected(self, s):
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            omp(np.eye(4), np.ones(4), s)
+
     def test_sparsity_exceeds_measurements(self):
         with pytest.raises(ValueError):
             omp(np.eye(3), np.ones(3), 4)
@@ -90,6 +95,11 @@ class TestStomp:
         assert np.array_equal(rep.estimate, np.zeros(5))
         assert rep.iterations == 1
         assert rep.halt_reason == "proxy_infnorm_criterion"
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan])
+    def test_threshold_must_be_positive(self, t):
+        with pytest.raises(ValueError, match="t must be > 0"):
+            StompConfig(t=t)
 
     def test_identity_flat_threshold_rule(self):
         # with t=2 every unit entry clears the stage-1 threshold 2*sqrt(s/m)
@@ -299,6 +309,48 @@ class TestCosamp:
             CosampConfig(0)
         with pytest.raises(ValueError):
             CosampConfig(2, halting="sample_norm")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"halting": "fixed_iterations", "halt_value": 0},
+        {"halting": "fixed_iterations", "halt_value": -1},
+        {"halting": "fixed_iterations", "halt_value": 2.5},
+        {"halting": "fixed_iterations", "halt_value": np.nan},
+        {"halting": "fixed_iterations", "halt_value": np.inf},
+        {"max_iters": 0},
+        {"max_iters": -4},
+        {"halting": "sample_norm", "halt_value": 1e-9, "max_iters": 0},
+        {"halting": "sample_norm", "halt_value": -1e-9},
+        {"halting": "sample_norm", "halt_value": np.nan},
+        {"halting": "proxy_infnorm", "halt_value": -1.0},
+        {"halting": "proxy_infnorm", "halt_value": np.nan},
+    ])
+    def test_settings_that_would_return_zero_rejected(self, kwargs):
+        # accepted before: most ran no iteration and returned an all-zero
+        # estimate, and a non-finite budget failed only inside the run
+        with pytest.raises(ValueError):
+            CosampConfig(2, **kwargs)
+
+    def test_whole_number_float_budget_accepted(self):
+        assert CosampConfig(2, halt_value=5.0).iteration_cap == 5
+        assert CosampConfig(2, halting="proxy_infnorm",
+                            halt_value=0.0).iteration_cap == 18
+
+
+@pytest.mark.parametrize("solve", [
+    lambda A, u: omp(A, u, 2),
+    lambda A, u: stomp(A, u),
+    lambda A, u: romp(A, u, 2),
+    lambda A, u: cosamp(A, u, CosampConfig(2)),
+], ids=["omp", "stomp", "romp", "cosamp"])
+@pytest.mark.parametrize("where", [(0, 0), (5, 17), (31, 63)])
+def test_non_finite_matrix_rejected_on_entry(solve, where):
+    # pseudoinverse_apply checks only its support columns, so every solver
+    # must check all of A before its first iteration
+    A = gen_matrix(EnsembleSpec("gaussian", 32, 64, seed=26))
+    u = A @ gen_signal(SignalSpec(64, 2, seed=27))
+    A[where] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve(A, u)
 
 
 class TestPrune:

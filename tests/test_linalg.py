@@ -53,6 +53,12 @@ class TestLeastSquares:
         z_direct = np.linalg.lstsq(A, u, rcond=None)[0]
         np.testing.assert_allclose(z, z_direct, atol=1e-8)
 
+    @pytest.mark.parametrize("kwargs", [{"tol": np.nan}, {"tol": -1e-12},
+                                        {"max_iters": 0}])
+    def test_config_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            LsConfig(**kwargs)
+
     def test_richardson_contraction_rate(self):
         # ||M|| <= 0.1 forces a 10x error reduction per sweep
         for seed in range(5):
@@ -110,6 +116,28 @@ class TestPseudoinverseApply:
     def test_not_increasing(self):
         with pytest.raises(ValueError):
             pseudoinverse_apply(np.eye(3), [2, 0], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outside_support_is_not_read(self, bad):
+        A = CounterRng(14).normal(48).reshape(6, 8)
+        u = CounterRng(15).normal(6)
+        T = [1, 4, 6]
+        clean = A.copy()
+        clean[:, 3] = 0.0
+        A[2, 3] = bad
+        for cfg in (None, LsConfig("conjugate_gradient", 3, 1e-12)):
+            got = pseudoinverse_apply(A, T, u, cfg)
+            assert got.tobytes() == pseudoinverse_apply(clean, T, u, cfg).tobytes()
+
+    def test_non_finite_in_support_raises(self):
+        A = CounterRng(16).normal(48).reshape(6, 8)
+        A[0, 4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            pseudoinverse_apply(A, [1, 4, 6], np.ones(6))
+
+    def test_one_dimensional_matrix_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            pseudoinverse_apply(np.ones(3), [0], np.ones(3))
 
 
 class TestExtremeSingularValues:

@@ -1,0 +1,42 @@
+"""Byte-level guard on the recorded benchmark references.
+
+Runs pool seed 0 of every ``greedy-gauss``, ``greedy-dct`` and ``analysis``
+cell template through ``cli.main`` and checks the output with the
+benchmark's own ``check.matches``.  Those references are byte-exact, so a
+change in the output of any greedy, partial-DCT, RIC or Kaczmarz path fails
+here as well as in the benchmark.  The convex workload is left to the
+benchmark: its cells are slow and are checked only to a relative tolerance.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from check import cell_key, load_references, matches  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+from sparsekit import cli  # noqa: E402
+
+BYTE_EXACT = ("greedy-gauss", "greedy-dct", "analysis")
+CELLS = [(name, argv + ("--seed", "0"))
+         for name in BYTE_EXACT for argv, _ in WORKLOADS[name].templates]
+
+
+@pytest.fixture(scope="module")
+def references():
+    return {name: load_references(name) for name in BYTE_EXACT}
+
+
+@pytest.mark.parametrize("name, argv", CELLS,
+                         ids=[f"{n}:{cell_key(a)}" for n, a in CELLS])
+def test_seed_zero_cell_matches_reference(name, argv, references):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    assert code == 0
+    assert matches(argv, out.getvalue(), references[name])
