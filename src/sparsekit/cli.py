@@ -277,7 +277,7 @@ def _run_recover(args):
     s = args.s if args.s is not None else int(np.count_nonzero(x))
     u = A @ x
     e_norm = 0.0
-    if args.noise_norm > 0:
+    if args.noise_norm != 0:
         e = gen_noise(NoiseSpec(A.shape[0], args.noise_norm,
                                 stream_seed(args.seed, "recover-noise")))
         u = u + e

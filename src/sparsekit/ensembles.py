@@ -5,8 +5,10 @@ Families
 gaussian     i.i.d. standard normal entries, optionally scaled by 1/sqrt(m)
 bernoulli    i.i.d. uniform +-1 entries, optionally scaled by 1/sqrt(m)
 partial_dct  m rows drawn without replacement from the d x d orthogonal
-             DCT-II matrix, optionally scaled by sqrt(d/m); only those m
-             rows are evaluated
+             DCT-II matrix, optionally scaled by sqrt(d/m); the rows are
+             gathered from one full matrix cached per process while it fits
+             DCT_CACHE_BYTES (d <= 1024), and only the m drawn rows are
+             evaluated above that
 
 Signals are flat (unit entries, optionally random signs) or compressible
 (the i-th selected entry gets magnitude i**(-1/p) with a random sign).
@@ -18,6 +20,8 @@ separated values printed with full round-trip precision.  Vectors are
 stored as a single row with ``rows=1``.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +30,10 @@ from .rng import CounterRng, stream_seed
 
 FAMILIES = ("gaussian", "bernoulli", "partial_dct")
 SIGNAL_KINDS = ("flat", "compressible")
+# largest full DCT kept between calls (d <= 1024), the same 8 MB that
+# rip.DRAW_KEYS allows a batch of draws: one cached matrix stays a small
+# share of a run's memory, and a larger d builds only its drawn rows
+DCT_CACHE_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -70,21 +78,29 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.target_norm < 0:
-            raise ValueError("target_norm must be >= 0")
+        if not 0 <= self.target_norm < math.inf:
+            raise ValueError(f"noise level target_norm must be finite and "
+                             f">= 0, got {self.target_norm}")
 
 
 def dct_matrix(d, rows=None):
     """Rows of the orthogonal d x d DCT-II matrix (rows orthonormal, entries
-    <= sqrt(2/d)); all d rows by default.
+    <= sqrt(2/d)); all d rows by default, in the order given otherwise.
 
     Only the selected rows are evaluated, and they hold the same bytes as
     the same rows sliced from the full matrix.  The m x d result is built in
     one buffer: each step of sqrt(2/d) * cos(pi (2j+1) k / 2d) runs in
     place, in the order of that expression, so the peak allocation is about
-    one output and every entry gets the same IEEE operations.
+    one output and every entry gets the same IEEE operations.  A row outside
+    [0, d) raises ``IndexError``.  Every call builds afresh; ``gen_matrix``
+    is what caches.
     """
-    k = (np.arange(d) if rows is None else np.asarray(rows, dtype=np.intp))[:, None]
+    if rows is None:
+        k = np.arange(d)[:, None]
+    else:
+        k = np.asarray(rows, dtype=np.intp)[:, None]
+        if k.size and (k.min() < 0 or k.max() >= d):
+            raise IndexError(f"row index out of range for {d} rows")
     j = np.arange(d)[None, :]
     C = np.pi * (2 * j + 1) * k
     C /= 2 * d
@@ -94,8 +110,28 @@ def dct_matrix(d, rows=None):
     return C
 
 
+@functools.lru_cache(maxsize=1)
+def _full_dct(d, build):
+    """The read-only d x d DCT-II matrix ``build(d)``, kept until another
+    (d, build) asks for one.
+
+    Callers pass ``dct_matrix`` as looked up at call time, so a wrapper
+    bound over ``ensembles.dct_matrix`` (as the perfbench tracer does)
+    misses the cache once and sees the build it causes.
+    """
+    C = build(d)
+    C.flags.writeable = False
+    return C
+
+
 def gen_matrix(spec):
-    """Draw a measurement matrix for the given ensemble spec."""
+    """Draw a measurement matrix for the given ensemble spec.
+
+    Partial-DCT rows are gathered from the cached full matrix while d x d
+    doubles fit ``DCT_CACHE_BYTES``; the gather copies them, so the result
+    is the caller's to write.  A larger d builds only the m drawn rows.
+    Both routes give the same bytes.
+    """
     m, d = spec.rows, spec.cols
     rng = CounterRng(stream_seed(spec.seed, "matrix", spec.family))
     if spec.family == "gaussian":
@@ -107,7 +143,11 @@ def gen_matrix(spec):
         if spec.normalize:
             A /= np.sqrt(m)
     else:
-        A = dct_matrix(d, np.sort(rng.permutation(d)[:m]))
+        rows = np.sort(rng.permutation(d)[:m])
+        if d * d * 8 <= DCT_CACHE_BYTES:
+            A = _full_dct(d, dct_matrix)[rows]
+        else:
+            A = dct_matrix(d, rows)
         if spec.normalize:
             A *= np.sqrt(d / m)
     return A

@@ -236,6 +236,18 @@ class TestOtherSubcommands:
                                  *(x for kv in argv.items() for x in kv))
         assert code == 2 and out == "" and flag[2:].replace("-", "_") in err
 
+    @pytest.mark.parametrize("argv", [
+        ("phase", "--algo", "omp", "--d", "32", "--m", "16", "--s", "2",
+         "--trials", "1", "--noise-norm", "nan"),
+        ("noise", "--algo", "bp", "--d", "32", "--m", "16", "--s", "2",
+         "--trials", "1", "--noise-fraction", "inf"),
+        ("kaczmarz", "--m", "10", "--n", "5", "--iters", "10", "--trials", "1",
+         "--noise-fraction", "nan"),
+    ], ids=["phase-nan", "noise-inf", "kaczmarz-nan"])
+    def test_non_finite_noise_level_is_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "noise level" in err
+
     def test_rwbounds(self, capsys):
         code, out, _ = run_cli(capsys, "rwbounds", "--mu", "10",
                                "--eps", "0.1", "--delta", "0.1,0.2")
@@ -314,6 +326,17 @@ class TestRecover:
                                  "--signal", str(sig), "--algo", "omp",
                                  "--s", "-2")
         assert code == 2 and out == "" and "s must be >= 1" in err
+
+    @pytest.mark.parametrize("level", ["nan", "-1"])
+    def test_bad_noise_level_is_exit_2(self, capsys, tmp_path, level):
+        amat = tmp_path / "A.csv"
+        sig = tmp_path / "x.csv"
+        save_matrix_csv(amat,
+                        gen_matrix(EnsembleSpec("gaussian", 12, 24, seed=9)))
+        save_vector_csv(sig, gen_signal(SignalSpec(24, 2, seed=10)))
+        code, out, err = run_cli(capsys, "recover", "--matrix", str(amat),
+                                 "--signal", str(sig), "--noise-norm", level)
+        assert code == 2 and out == "" and "noise level" in err
 
     def test_non_finite_signal_is_exit_2(self, capsys, tmp_path):
         A = gen_matrix(EnsembleSpec("gaussian", 12, 24, seed=9))

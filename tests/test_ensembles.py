@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sparsekit import ensembles
 from sparsekit.ensembles import (
+    DCT_CACHE_BYTES,
     EnsembleSpec,
     NoiseSpec,
     SignalSpec,
@@ -80,8 +82,11 @@ class TestDctRows:
 
     @pytest.mark.parametrize("m, d, normalize", [
         (1, 64, True), (16, 64, True), (64, 64, True), (100, 256, False),
-        (256, 1024, True), (512, 1024, True)])
+        (256, 1024, True), (512, 1024, True), (64, 2048, True),
+        (300, 2048, False)])
     def test_gen_matrix_equals_full_build(self, m, d, normalize):
+        # d = 1024 gathers from the cached matrix, d = 2048 builds its rows
+        assert 1024 * 1024 * 8 <= DCT_CACHE_BYTES < 2048 * 2048 * 8
         for seed in range(3):
             rng = CounterRng(stream_seed(seed, "matrix", "partial_dct"))
             want = dct_matrix(d)[np.sort(rng.permutation(d)[:m]), :]
@@ -122,6 +127,42 @@ class TestDctRows:
             tracemalloc.stop()
         # one expression with four m x d temporaries peaks at twice the output
         assert peak <= 1.25 * C.nbytes, peak / C.nbytes
+
+    @pytest.mark.parametrize("rows", [[8], [16], [-1], [0, 3, 8], [2, -3]],
+                             ids=["8", "16", "-1", "0,3,8", "2,-3"])
+    def test_rows_outside_range_rejected(self, rows):
+        with pytest.raises(IndexError, match="out of range for 8 rows"):
+            dct_matrix(8, rows)
+
+    @pytest.mark.parametrize("m, d", [(16, 64), (64, 64), (16, 2048)])
+    def test_writing_a_result_leaves_the_next_draw_unchanged(self, m, d):
+        spec = EnsembleSpec("partial_dct", m, d, seed=5)
+        A = gen_matrix(spec)
+        want = A.tobytes()
+        A[...] = 7.0
+        assert gen_matrix(spec).tobytes() == want
+
+    def test_cached_matrix_is_read_only(self):
+        gen_matrix(EnsembleSpec("partial_dct", 8, 64))
+        C = ensembles._full_dct(64, dct_matrix)
+        assert C is ensembles._full_dct(64, dct_matrix)
+        assert C.tobytes() == dct_matrix(64).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            C[0, 0] = 1.0
+
+    def test_cache_builds_once_through_the_module_attribute(self, monkeypatch):
+        # a wrapper bound after the cache is filled still sees one build
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return dct_matrix(*args)
+
+        gen_matrix(EnsembleSpec("partial_dct", 16, 128))
+        monkeypatch.setattr(ensembles, "dct_matrix", counting)
+        for seed in range(3):
+            gen_matrix(EnsembleSpec("partial_dct", 16, 128, seed=seed))
+        assert calls == [(128,)]
 
     def test_memory_follows_selected_rows(self):
         tracemalloc.start()
@@ -180,6 +221,11 @@ class TestNoise:
     def test_determinism(self):
         spec = NoiseSpec(10, 2.0, seed=3)
         assert np.array_equal(gen_noise(spec), gen_noise(spec))
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf, -1.0])
+    def test_level_must_be_finite_and_non_negative(self, level):
+        with pytest.raises(ValueError, match="noise level"):
+            NoiseSpec(4, level)
 
 
 class TestCsv:
