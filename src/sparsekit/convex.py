@@ -53,12 +53,14 @@ def _scale_columns(A, weights, d):
 
 def _max_step(pairs):
     """Longest step in (0, 1] keeping ``f + step * df <= 0`` for every pair
-    ``(f, df)``; the bound lambda >= 0 enters as ``(-lambda, -dlambda)``."""
+    ``(f, df)``; the bound lambda >= 0 enters as ``(-lambda, -dlambda)``.
+    Each pair costs one masked quotient: entries with ``df <= 0`` never
+    bind, so their division by zero or overflow is masked and silenced."""
     step = 1.0
-    for f, df in pairs:
-        pos = df > 0
-        if np.any(pos):
-            step = min(step, float(np.min(-f[pos] / df[pos])))
+    with np.errstate(all="ignore"):
+        for f, df in pairs:
+            step = min(step, float(
+                np.where(df > 0, -f / df, np.inf).min(initial=np.inf)))
     return step
 
 
@@ -104,25 +106,29 @@ def _bp_equality_full(A, u, weights=None):
     uscale = max(1.0, np.linalg.norm(u))
 
     least_norm, dual_least_squares = _range_solvers(A)
-    z0 = least_norm(u)
-    if np.linalg.norm(A @ z0 - u) > 1e-8 * uscale:
+    z = least_norm(u)
+    r_pri = A @ z - u
+    if np.linalg.norm(r_pri) > 1e-8 * uscale:
         raise InfeasibleError("u is not in the range of the measurement matrix")
     if np.linalg.norm(u) == 0:
         return np.zeros(d), np.zeros(d)
 
-    z = z0
     t = 0.95 * np.abs(z) + 0.10 * np.max(np.abs(z))
     fu1 = z - t
     fu2 = -z - t
     lam1 = -1.0 / fu1
     lam2 = -1.0 / fu2
     nu = dual_least_squares(-(lam1 - lam2))
+    Atnu = A.T @ nu
     mu = 10.0
+    # Schur-complement buffers, refilled every step; As keeps A's layout,
+    # as the temporary A / sigx did, so the product has the same bits
+    As = np.empty_like(A)
+    Hnu = np.empty((m, m))
 
-    def residuals(z, fu1, fu2, lam1, lam2, nu, tau):
-        r_dual = np.concatenate([lam1 - lam2 + A.T @ nu, 1.0 - lam1 - lam2])
+    def residuals(fu1, fu2, lam1, lam2, Atnu, r_pri, tau):
+        r_dual = np.concatenate([lam1 - lam2 + Atnu, 1.0 - lam1 - lam2])
         r_cent = np.concatenate([-lam1 * fu1, -lam2 * fu2]) - 1.0 / tau
-        r_pri = A @ z - u
         return r_dual, r_cent, r_pri
 
     def restore_feasibility(z):
@@ -138,7 +144,7 @@ def _bp_equality_full(A, u, weights=None):
         sdg = -(fu1 @ lam1 + fu2 @ lam2)
         obj = float(np.sum(t))
         if (sdg <= BP_GAP_TOL * max(1.0, obj)
-                and np.linalg.norm(A @ z - u) <= BP_FEAS_TOL * uscale):
+                and np.linalg.norm(r_pri) <= BP_FEAS_TOL * uscale):
             return z / w, t
         tau = mu * 2 * d / sdg
 
@@ -146,12 +152,12 @@ def _bp_equality_full(A, u, weights=None):
         sig2 = lam1 / fu1 - lam2 / fu2
         # sig1 - sig2^2/sig1 in a cancellation-free form
         sigx = 4.0 * (lam1 / fu1) * (lam2 / fu2) / sig1
-        rhs_z = -(A.T @ nu) - (1.0 / tau) * (-1.0 / fu1 + 1.0 / fu2)
+        rhs_z = -Atnu - (1.0 / tau) * (-1.0 / fu1 + 1.0 / fu2)
         rhs_t = -1.0 - (1.0 / tau) * (1.0 / fu1 + 1.0 / fu2)
         w1p = rhs_z - (sig2 / sig1) * rhs_t
-        r_pri = A @ z - u
 
-        Hnu = (A / sigx[None, :]) @ A.T
+        np.divide(A, sigx[None, :], out=As)
+        np.matmul(As, A.T, out=Hnu)
         rhs_nu = A @ (w1p / sigx) + r_pri
         try:
             dnu = np.linalg.solve(Hnu, rhs_nu)
@@ -166,7 +172,8 @@ def _bp_equality_full(A, u, weights=None):
         step = 0.99 * _max_step(((-lam1, -dlam1), (-lam2, -dlam2),
                                  (fu1, dz - dt), (fu2, -dz - dt)))
 
-        res = np.concatenate(residuals(z, fu1, fu2, lam1, lam2, nu, tau))
+        res = np.concatenate(residuals(fu1, fu2, lam1, lam2, Atnu, r_pri,
+                                       tau))
         res_norm = np.linalg.norm(res)
         for _ in range(32):
             zn = z + step * dz
@@ -177,8 +184,10 @@ def _bp_equality_full(A, u, weights=None):
             l2n = lam2 + step * dlam2
             nun = nu + step * dnu
             if np.all(f1n < 0) and np.all(f2n < 0):
+                r_pri_n = A @ zn - u
+                Atnu_n = A.T @ nun
                 new_res = np.concatenate(
-                    residuals(zn, f1n, f2n, l1n, l2n, nun, tau))
+                    residuals(f1n, f2n, l1n, l2n, Atnu_n, r_pri_n, tau))
                 if np.linalg.norm(new_res) <= (1 - 0.01 * step) * res_norm:
                     break
             step *= 0.5
@@ -190,6 +199,7 @@ def _bp_equality_full(A, u, weights=None):
                 return z / w, t
             raise SolverError("interior-point line search stalled")
         z, t, fu1, fu2, lam1, lam2, nu = zn, tn, f1n, f2n, l1n, l2n, nun
+        r_pri, Atnu = r_pri_n, Atnu_n
 
     sdg = -(fu1 @ lam1 + fu2 @ lam2)
     z = restore_feasibility(z)
@@ -217,7 +227,7 @@ def bp_denoise(A, u, eps, weights=None):
         raise InfeasibleError(
             "no interior point: the reachable set misses the eps-ball")
     t = 0.95 * np.abs(z) + 0.10 * np.max(np.abs(z))
-    AtA = A.T @ A
+    AtA = np.asfortranarray(A.T @ A)      # column-major, like H in _qc_newton
 
     tau = max((2 * d + 1) / np.sum(t), 1.0)
     mu = 10.0
@@ -230,7 +240,40 @@ def bp_denoise(A, u, eps, weights=None):
     return z / w
 
 
+def _newton_matrix(AtA, atr, sigx, fe, H, B):
+    """``diag(sigx) - AtA / fe + outer(atr, atr) / fe**2`` written into H,
+    using B as workspace; both are d x d and column-major like AtA.
+
+    Every entry goes through the same IEEE operations in the same order as
+    that expression, so the result has the same bits, provided AtA holds no
+    -0.0 (A.T @ A gives +0.0 for its exact zeros).  Off the diagonal,
+    (0 - a) + r equals r - a exactly; the diagonal is (sigx - a) + r.
+    """
+    np.multiply.outer(atr, atr, out=H)
+    H /= fe**2
+    np.divide(AtA, fe, out=B)
+    diag = (sigx - np.diagonal(B)) + np.diagonal(H)
+    np.subtract(H, B, out=H)
+    np.fill_diagonal(H, diag)
+    return H
+
+
 def _qc_newton(A, AtA, u, eps, z, t, tau):
+    """Newton steps of one barrier stage at weight tau; returns the last
+    accepted (z, t).
+
+    The d x d Newton matrix is built in place, into two column-major
+    buffers allocated once per call, so a step makes no d x d temporary of
+    its own and ``np.linalg.solve`` copies it without transposing.  It
+    has the same bits as the plain expression (see ``_newton_matrix``).
+    The bits matter: stages that stop at MAX_NEWTON amplify any change in
+    rounding.  An algebraically equal Woodbury (m x m) solve moved 100 of
+    the 128 noise and reweighted-l1 benchmark references past perfbench's
+    1e-3 check.
+    """
+    d = z.size
+    H = np.empty((d, d), order="F")
+    B = np.empty((d, d), order="F")
     r = A @ z - u
     fu1 = z - t
     fu2 = -z - t
@@ -250,7 +293,7 @@ def _qc_newton(A, AtA, u, eps, z, t, tau):
         # sig11 - sig12^2/sig11 in a cancellation-free form
         sigx = 4.0 / (fu1**2 * fu2**2) / sig11
 
-        H11p = np.diag(sigx) - AtA / fe + np.outer(atr, atr) / fe**2
+        H11p = _newton_matrix(AtA, atr, sigx, fe, H, B)
         w1p = ntgz - (sig12 / sig11) * ntgt
         try:
             dz = np.linalg.solve(H11p, w1p)

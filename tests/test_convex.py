@@ -1,13 +1,17 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from sparsekit import convex
 from sparsekit.convex import (
     InfeasibleError,
     RwConfig,
     SolverError,
     _bp_equality_full,
+    _max_step,
+    _newton_matrix,
     _range_solvers,
     bp_denoise,
     bp_equality,
@@ -225,6 +229,110 @@ class TestBpDenoise:
         "answer about 2e-2 from optimality (ROADMAP item 1)"))
     def test_kkt_certificate_stalled_instance(self):
         assert self.kkt_certificate(2) <= 1e-5
+
+
+class TestNewtonMatrix:
+    """The in-place Newton matrix has the bits of the plain expression."""
+
+    @staticmethod
+    def expression(AtA, atr, sigx, fe):
+        return np.diag(sigx) - AtA / fe + np.outer(atr, atr) / fe**2
+
+    @staticmethod
+    def inputs(seed, d):
+        """AtA from a product in which every fourth column is zero, and atr
+        with exact zeros of both signs among values of either sign."""
+        rng = CounterRng(stream_seed("newton-matrix", seed, d))
+        A = rng.normal(3 * d).reshape(3, d)
+        A[:, ::4] = 0.0
+        atr = rng.normal(d) * 10.0 ** np.round(4 * rng.normal(d))
+        atr[1::5] = 0.0
+        atr[2::5] = -0.0
+        sigx = np.exp(3 * rng.normal(d))
+        fe = -np.exp(2 * rng.normal(1))[0]
+        return np.asfortranarray(A.T @ A), atr, sigx, fe
+
+    @pytest.mark.parametrize("d", [1, 7, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bytes_as_expression(self, seed, d):
+        AtA, atr, sigx, fe = self.inputs(seed, d)
+        H = np.empty((d, d), order="F")
+        B = np.empty((d, d), order="F")
+        got = _newton_matrix(AtA, atr, sigx, fe, H, B)
+        assert got is H
+        assert got.tobytes() == self.expression(AtA, atr, sigx, fe).tobytes()
+
+    def test_bp_denoise_estimate_unchanged(self, monkeypatch):
+        A = gen_matrix(EnsembleSpec("gaussian", 32, 64, seed=40))
+        x = gen_signal(SignalSpec(64, 4, seed=41, random_signs=True))
+        e = gen_noise(NoiseSpec(32, 0.1 * float(np.linalg.norm(A @ x)),
+                                seed=42))
+        eps = 1.1 * float(np.linalg.norm(e))
+        in_place = bp_denoise(A, A @ x + e, eps)
+        calls = []
+
+        def expression(AtA, atr, sigx, fe, H, B):
+            calls.append(fe)
+            return self.expression(AtA, atr, sigx, fe)
+
+        monkeypatch.setattr(convex, "_newton_matrix", expression)
+        plain = bp_denoise(A, A @ x + e, eps)
+        assert len(calls) > 10
+        assert np.array_equal(in_place, plain)
+
+
+class TestMaxStep:
+    @staticmethod
+    def masked_min(f, df):
+        """The reference rule: min(1, min(-f / df)) over entries df > 0."""
+        pos = df > 0
+        if not np.any(pos):
+            return 1.0
+        with np.errstate(over="ignore"):
+            return min(1.0, float(np.min(-f[pos] / df[pos])))
+
+    def test_no_positive_direction_gives_one(self):
+        f = -np.ones(4)
+        assert _max_step(((f, np.array([0.0, -1.0, -0.0, -1e300])),)) == 1.0
+        assert _max_step(((f, np.zeros(4)), (f, -np.ones(4)))) == 1.0
+        assert _max_step(((np.empty(0), np.empty(0)),)) == 1.0
+
+    def test_non_positive_directions_ignored_silently(self):
+        f = np.array([-1.0, 0.0, -2.0, -1e300, -4.0])
+        df = np.array([0.0, 0.0, -1e-300, -1e-300, 8.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _max_step(((f, df),)) == 0.5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_masked_min_bit_for_bit(self, seed):
+        """Pairs at scales from 1e-300 to 1e300 whose quotients lie within
+        1e+-3 of 1, so the minimum is a normal number below 1, and one pair
+        of independent magnitudes whose quotients overflow and underflow."""
+        rng = CounterRng(stream_seed("max-step", seed))
+        n = 200
+        pairs = []
+        for spread in (3, 3, 3, 3, 600):
+            scale = 300 * (2 * rng.uniform(1) - 1) * (spread < 600)
+            f = -10.0 ** (scale + spread * (rng.uniform(n) - 0.5))
+            df = rng.signs(n) * 10.0 ** (scale + spread * (rng.uniform(n) - 0.5))
+            df[rng.subset(n, 20)] = 0.0
+            pairs.append((f, df))
+        want = min(self.masked_min(f, df) for f, df in pairs)
+        got = _max_step(pairs)
+        assert got.hex() == want.hex()
+        for f, df in pairs:
+            assert _max_step(((f, df),)).hex() == self.masked_min(f, df).hex()
+
+    def test_multiplier_pair_form(self):
+        """``(-lam, -dlam)`` bounds the step by lam + step * dlam >= 0."""
+        rng = CounterRng(stream_seed("max-step-lambda", 0))
+        lam = np.exp(5 * rng.normal(50))
+        dlam = rng.normal(50) * np.exp(5 * rng.normal(50))
+        dlam[::7] = 0.0
+        neg = dlam < 0
+        want = min(1.0, float(np.min(lam[neg] / -dlam[neg])))
+        assert _max_step(((-lam, -dlam),)).hex() == want.hex()
 
 
 class TestReweighted:

@@ -14,9 +14,14 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    # one BLAS thread: a threaded BLAS beside a busy test run slows the
-    # convex demos by an order of magnitude
-    env.setdefault("OPENBLAS_NUM_THREADS", "1")
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_blas_threads_pinned_before_numpy_loads():
+    """conftest.py pins one BLAS thread for this process and the demos'
+    subprocesses; the pin only holds if numpy was not yet imported."""
+    import conftest
+    assert not conftest.NUMPY_IMPORTED_BEFORE_PIN
+    assert os.environ["OPENBLAS_NUM_THREADS"]
