@@ -18,7 +18,7 @@ import numpy as np
 from . import kaczmarz  # kaczmarz.rk_theory: perfbench traces module attributes
 from .convex import RwConfig, bp_denoise, bp_equality, reweighted_l1, rw_error_recursion
 from .ensembles import EnsembleSpec, NoiseSpec, SignalSpec, gen_matrix, gen_noise, gen_signal
-from .greedy import CosampConfig, StompConfig, cosamp, omp, prune, romp, stomp
+from .greedy import CosampConfig, StompConfig, cosamp, cosamp_cap, omp, prune, romp, stomp
 from .kaczmarz import rk_solve
 from .rng import stream_seed
 
@@ -219,11 +219,11 @@ def run_noise_study(grid):
 
 
 def iteration_cap(algorithm, s):
-    """Per-run bound: ROMP's s rounds (Needell-Vershynin), CoSaMP's 6(s+1)."""
+    """Per-run bound: ROMP's s rounds (Needell-Vershynin), CoSaMP's default."""
     if algorithm == "romp":
         return s
     if algorithm == "cosamp":
-        return 6 * (s + 1)
+        return cosamp_cap(s)
     return None
 
 

@@ -1,13 +1,5 @@
-"""L1-minimization recovery: basis pursuit and its reweighted iteration.
-
-``bp_equality`` solves  min ||z||_1  s.t.  Az = u  through the standard
-linear-program recast (variables (z, t), objective sum(t), constraints
--t <= z <= t) with a primal-dual interior-point method and dense Schur
-solves.  Its start point, dual start and final feasibility restore solve
-through the Gram matrix AA^T, falling back to SVD least squares when A is
-nearly rank-deficient.  ``bp_denoise`` solves  min ||z||_1  s.t.
-||Az - u||_2 <= eps  with a log-barrier Newton method on the quadratically
-constrained form.
+"""L1-minimization recovery: basis pursuit (``bp_equality`` for Az = u,
+``bp_denoise`` for ||Az - u||_2 <= eps) and its reweighted iteration.
 Weighted problems are reduced to the unweighted solver by column scaling.
 """
 
@@ -64,12 +56,6 @@ def _max_step(pairs):
     return step
 
 
-def bp_equality(A, u, weights=None):
-    """Minimum (weighted) l1-norm solution of Az = u."""
-    z, _ = _bp_equality_full(A, u, weights)
-    return z
-
-
 def _range_solvers(A):
     """``(least_norm, dual_least_squares)`` for an m x d matrix A:
     ``least_norm(r)`` is the minimum-norm least-squares solution of Az = r,
@@ -98,7 +84,12 @@ def _range_solvers(A):
             lambda b: np.linalg.lstsq(A.T, b, rcond=None)[0])
 
 
-def _bp_equality_full(A, u, weights=None):
+def bp_equality(A, u, weights=None):
+    """Minimum (weighted) l1-norm solution of Az = u: l1-magic's ``l1eq_pd``
+    on the recast min sum(t) s.t. -t <= z <= t, Az = u, with m x m Schur
+    solves.  A converged z is returned as is.  After a stalled line search
+    or BP_MAX_ITERS steps, z is restored onto {Az = u} and returned if it
+    meets the contract tolerances; otherwise ``SolverError`` says which."""
     A = as_matrix(A)
     m, d = A.shape
     u = as_vector(u, m, "u")
@@ -111,7 +102,7 @@ def _bp_equality_full(A, u, weights=None):
     if np.linalg.norm(r_pri) > 1e-8 * uscale:
         raise InfeasibleError("u is not in the range of the measurement matrix")
     if np.linalg.norm(u) == 0:
-        return np.zeros(d), np.zeros(d)
+        return np.zeros(d)
 
     t = 0.95 * np.abs(z) + 0.10 * np.max(np.abs(z))
     fu1 = z - t
@@ -127,25 +118,16 @@ def _bp_equality_full(A, u, weights=None):
     Hnu = np.empty((m, m))
 
     def residuals(fu1, fu2, lam1, lam2, Atnu, r_pri, tau):
-        r_dual = np.concatenate([lam1 - lam2 + Atnu, 1.0 - lam1 - lam2])
-        r_cent = np.concatenate([-lam1 * fu1, -lam2 * fu2]) - 1.0 / tau
-        return r_dual, r_cent, r_pri
+        return np.concatenate([lam1 - lam2 + Atnu, 1.0 - lam1 - lam2,
+                               -lam1 * fu1 - 1.0 / tau,
+                               -lam2 * fu2 - 1.0 / tau, r_pri])
 
-    def restore_feasibility(z):
-        # least-norm correction back onto {Az = u}; moves the objective by
-        # at most sqrt(d) times the residual, far inside the gap contract
-        return z + least_norm(u - A @ z)
-
-    def within_contract(z, t, sdg):
-        return (sdg <= GAP_CONTRACT * max(1.0, float(np.sum(t)))
-                and np.linalg.norm(A @ z - u) <= FEAS_CONTRACT * uscale)
-
+    reason = None
     for _ in range(BP_MAX_ITERS):
         sdg = -(fu1 @ lam1 + fu2 @ lam2)
-        obj = float(np.sum(t))
-        if (sdg <= BP_GAP_TOL * max(1.0, obj)
+        if (sdg <= BP_GAP_TOL * max(1.0, float(np.sum(t)))
                 and np.linalg.norm(r_pri) <= BP_FEAS_TOL * uscale):
-            return z / w, t
+            break
         tau = mu * 2 * d / sdg
 
         sig1 = -lam1 / fu1 - lam2 / fu2          # > 0
@@ -172,9 +154,8 @@ def _bp_equality_full(A, u, weights=None):
         step = 0.99 * _max_step(((-lam1, -dlam1), (-lam2, -dlam2),
                                  (fu1, dz - dt), (fu2, -dz - dt)))
 
-        res = np.concatenate(residuals(fu1, fu2, lam1, lam2, Atnu, r_pri,
-                                       tau))
-        res_norm = np.linalg.norm(res)
+        res_norm = np.linalg.norm(
+            residuals(fu1, fu2, lam1, lam2, Atnu, r_pri, tau))
         for _ in range(32):
             zn = z + step * dz
             tn = t + step * dt
@@ -186,30 +167,32 @@ def _bp_equality_full(A, u, weights=None):
             if np.all(f1n < 0) and np.all(f2n < 0):
                 r_pri_n = A @ zn - u
                 Atnu_n = A.T @ nun
-                new_res = np.concatenate(
-                    residuals(f1n, f2n, l1n, l2n, Atnu_n, r_pri_n, tau))
+                new_res = residuals(f1n, f2n, l1n, l2n, Atnu_n, r_pri_n, tau)
                 if np.linalg.norm(new_res) <= (1 - 0.01 * step) * res_norm:
                     break
             step *= 0.5
         else:
-            # no further progress in double precision; the iterate is
-            # acceptable if it already meets the contract tolerances
-            z = restore_feasibility(z)
-            if within_contract(z, t, sdg):
-                return z / w, t
-            raise SolverError("interior-point line search stalled")
+            # no further progress in double precision
+            reason = "interior-point line search stalled"
+            break
         z, t, fu1, fu2, lam1, lam2, nu = zn, tn, f1n, f2n, l1n, l2n, nun
         r_pri, Atnu = r_pri_n, Atnu_n
-
-    sdg = -(fu1 @ lam1 + fu2 @ lam2)
-    z = restore_feasibility(z)
-    if within_contract(z, t, sdg):
-        return z / w, t
-    raise SolverError("interior-point method hit the iteration limit")
+    else:
+        sdg = -(fu1 @ lam1 + fu2 @ lam2)
+        reason = "interior-point method hit the iteration limit"
+    if reason is not None:
+        # least-norm correction back onto {Az = u}: it moves the objective
+        # by at most sqrt(d) times the residual, far inside the gap contract
+        z = z + least_norm(u - A @ z)
+        if not (sdg <= GAP_CONTRACT * max(1.0, float(np.sum(t)))
+                and np.linalg.norm(A @ z - u) <= FEAS_CONTRACT * uscale):
+            raise SolverError(reason)
+    return z / w
 
 
 def bp_denoise(A, u, eps, weights=None):
-    """Minimum (weighted) l1-norm solution with ||Az - u||_2 <= eps."""
+    """Minimum (weighted) l1-norm solution with ||Az - u||_2 <= eps, by a
+    log-barrier Newton method on the quadratically constrained form."""
     A = as_matrix(A)
     m, d = A.shape
     u = as_vector(u, m, "u")

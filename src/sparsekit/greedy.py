@@ -52,47 +52,43 @@ class StompConfig:
 class CosampConfig:
     """CoSaMP settings.
 
-    ``halting`` is one of ``fixed_iterations`` (halt_value = iteration
-    count, a whole number >= 1, default 6(s+1)), ``sample_norm``
-    (halt_value = epsilon >= 0; halts when ||v|| <= epsilon), or
-    ``proxy_infnorm`` (halt_value = eta >= 0; halts when
-    ||A'v||_inf <= eta/sqrt(2s)).  Both tests include the boundary.
-    Norm-based modes keep ``max_iters`` (>= 1 when given) as a safety cap
-    (default 6(s+1)).  Every run also halts once ||v|| <=
-    ``residual_tol``.  The least-squares step is always ``COSAMP_LS``:
-    three conjugate-gradient iterations warm-started from the running
-    estimate.
+    ``halting`` is one of ``fixed_iterations`` (run ``max_iters``
+    iterations), ``sample_norm`` (halt_value = epsilon >= 0; halts when
+    ||v|| <= epsilon), or ``proxy_infnorm`` (halt_value = eta >= 0; halts
+    when ||A'v||_inf <= eta/sqrt(2s)).  Both tests include the boundary;
+    ``fixed_iterations`` takes no halt_value.  ``max_iters``, a whole
+    number >= 1 when given, caps every rule (default 6(s+1)).  The least-
+    squares step is always ``COSAMP_LS``: three conjugate-gradient
+    iterations warm-started from the running estimate.
     """
 
     s: int
     halting: str = "fixed_iterations"
     halt_value: float | None = None
     max_iters: int | None = None
-    residual_tol: float = RESIDUAL_TOL
 
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("sparsity s must be >= 1")
         if self.halting not in ("fixed_iterations", "sample_norm", "proxy_infnorm"):
             raise ValueError(f"unknown halting rule {self.halting!r}")
-        if self.halting != "fixed_iterations":
-            if self.halt_value is None:
-                raise ValueError(f"halting rule {self.halting!r} needs a halt_value")
-            if not self.halt_value >= 0:
-                raise ValueError(f"halting rule {self.halting!r} needs halt_value >= 0")
-        elif self.halt_value is not None and not (
-                self.halt_value >= 1 and float(self.halt_value).is_integer()):
-            raise ValueError("fixed_iterations needs a whole-number halt_value >= 1")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if self.halting == "fixed_iterations":
+            if self.halt_value is not None:
+                raise ValueError("fixed_iterations takes max_iters, not halt_value")
+        elif self.halt_value is None or not self.halt_value >= 0:
+            raise ValueError(f"halting rule {self.halting!r} needs halt_value >= 0")
+        if self.max_iters is not None and not (
+                self.max_iters >= 1 and float(self.max_iters).is_integer()):
+            raise ValueError("max_iters must be a whole number >= 1")
 
     @property
     def iteration_cap(self):
-        if self.halting == "fixed_iterations" and self.halt_value is not None:
-            return int(self.halt_value)
-        if self.max_iters is not None:
-            return self.max_iters
-        return 6 * (self.s + 1)
+        return cosamp_cap(self.s) if self.max_iters is None else int(self.max_iters)
+
+
+def cosamp_cap(s):
+    """CoSaMP's iteration cap when none is set: 6(s+1) (Needell-Tropp)."""
+    return 6 * (s + 1)
 
 
 def prune(b, s):
@@ -287,10 +283,10 @@ def cosamp(A, u, cfg):
     estimate warm-started from the previous approximation, prune to s,
     update the samples.  Before each iteration the run halts with
     ``sample_norm_criterion`` when the rule is ``sample_norm`` and
-    ||v|| <= halt_value, then with ``residual_zero`` or at the cap; once
-    the proxy y = A'v is formed, the ``proxy_infnorm`` rule halts when
-    max|y| <= halt_value / sqrt(2s).  The report's ``estimate_history``
-    holds the estimate after each iteration.
+    ||v|| <= halt_value, with ``residual_zero`` when ||v|| <= RESIDUAL_TOL,
+    or at ``cfg.iteration_cap``; once the proxy y = A'v is formed, the
+    ``proxy_infnorm`` rule halts when max|y| <= halt_value / sqrt(2s).  The
+    report's ``estimate_history`` holds the estimate after each iteration.
     """
     A = as_matrix(A)
     m, d = A.shape
@@ -311,7 +307,7 @@ def cosamp(A, u, cfg):
         if cfg.halting == "sample_norm" and vnorm <= cfg.halt_value:
             halt = HALT_SAMPLE_NORM
             break
-        if vnorm <= cfg.residual_tol:
+        if vnorm <= RESIDUAL_TOL:
             halt = HALT_RESIDUAL_ZERO
             break
         if it >= cap:

@@ -226,8 +226,7 @@ def test_06_halting_criteria():
         # sample-norm halting, at a generous and at a tight threshold
         for eps in (2.0 * e_norm, 1.01 * e_norm):
             rep = sk.cosamp(A, u, sk.CosampConfig(
-                s, halting="sample_norm", halt_value=eps, max_iters=80,
-                residual_tol=0.0))
+                s, halting="sample_norm", halt_value=eps, max_iters=80))
             ok &= rep.halt_reason == "sample_norm_criterion"
             ok &= np.linalg.norm(x - rep.estimate) <= 1.06 * (eps + e_norm)
             for a in [np.zeros(d)] + (rep.estimate_history or []):
@@ -237,8 +236,7 @@ def test_06_halting_criteria():
         # proxy infinity-norm halting
         eta = 2.0 * np.sqrt(2 * s) * np.max(np.abs(A.T @ e))
         rep = sk.cosamp(A, u, sk.CosampConfig(
-            s, halting="proxy_infnorm", halt_value=eta, max_iters=80,
-            residual_tol=0.0))
+            s, halting="proxy_infnorm", halt_value=eta, max_iters=80))
         ok &= rep.halt_reason == "proxy_infnorm_criterion"
         ok &= (np.max(np.abs(x - rep.estimate))
                <= 1.12 * eta + 1.17 * e_norm)

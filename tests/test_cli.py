@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparsekit import bench
 from sparsekit.cli import build_parser, main
+from sparsekit.convex import SolverError
 from sparsekit.ensembles import EnsembleSpec, SignalSpec, gen_matrix, gen_signal, save_matrix_csv, save_vector_csv
 
 
@@ -159,6 +161,24 @@ class TestConfigFile:
                                    "--signal", str(sig), "--algo", "cosamp")
         assert from_config == from_flags
 
+    def test_comments_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# one phase cell\n\nm = 16   # measurements\n"
+                       "   \ntrials = 3\n")
+        code, from_config, err = run_cli(capsys, *self.PHASE, "--config",
+                                         str(cfg))
+        assert code == 0, err
+        _, from_flags, _ = run_cli(capsys, *self.PHASE, "--m", "16",
+                                   "--trials", "3")
+        assert from_config == from_flags
+
+    def test_line_without_equals_is_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# header\n\nm = 16\ntrials 3\n")
+        code, out, err = run_cli(capsys, *self.PHASE, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "config error: line 4: expected key = value" in err
+
     def test_store_true_key(self, capsys, tmp_path):
         cfg = tmp_path / "signs.cfg"
         cfg.write_text("random-signs = yes\n")
@@ -218,6 +238,16 @@ class TestOtherSubcommands:
         code, out, _ = run_cli(capsys, "iters", "--algo", "romp", "--d", "32",
                                "--m", "24", "--s", "1,2", "--trials", "3")
         assert code == 0 and "violations" in out.splitlines()[0]
+
+    def test_cosamp_iters_cap_at_zero_sparsity(self, capsys):
+        # s = 0 runs no solver, and its row still reports the 6(s+1) cap
+        code, out, err = run_cli(capsys, "iters", "--algo", "cosamp", "--d",
+                                 "32", "--m", "24", "--s", "0,2",
+                                 "--trials", "2")
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().splitlines()]
+        cap = rows[0].index("cap")
+        assert [r[cap] for r in rows[1:]] == ["6", "18"]
 
     def test_kaczmarz(self, capsys):
         code, out, _ = run_cli(capsys, "kaczmarz", "--m", "20", "--n", "5",
@@ -290,6 +320,33 @@ class TestOtherSubcommands:
         assert code == 0 and json.loads(out)["mode"] == "monte_carlo"
 
 
+class TestNumericalFailureExit:
+    """Exit code 3: a numerical failure, after any output already made."""
+
+    def test_iteration_cap_violation_is_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "iteration_cap", lambda algorithm, s: 0)
+        code, out, err = run_cli(capsys, "iters", "--algo", "cosamp", "--d",
+                                 "32", "--m", "24", "--s", "2",
+                                 "--trials", "3")
+        assert code == 3
+        rows = [line.split(",") for line in out.strip().splitlines()]
+        assert len(rows) == 2
+        row = dict(zip(rows[0], rows[1]))
+        assert row["cap"] == "0" and int(row["violations"]) >= 1
+        assert "iteration cap violated" in err
+
+    def test_solver_error_is_exit_3(self, capsys, monkeypatch):
+        def stalled(A, u):
+            raise SolverError("interior-point line search stalled")
+
+        monkeypatch.setattr(bench, "bp_equality", stalled)
+        code, out, err = run_cli(capsys, "phase", "--algo", "bp", "--d", "16",
+                                 "--m", "8", "--s", "1", "--trials", "2")
+        assert code == 3 and out == ""
+        assert "numerical failure: interior-point line search stalled" in err
+        assert "Traceback" not in err
+
+
 class TestRecover:
     def test_roundtrip(self, capsys, tmp_path):
         A = gen_matrix(EnsembleSpec("gaussian", 12, 24, seed=9))
@@ -304,6 +361,23 @@ class TestRecover:
         rep = json.loads(out)
         assert rep["success"] is True
         assert rep["support"] == [int(i) for i in np.flatnonzero(x)]
+
+    def test_noise_norm_is_seeded(self, capsys, tmp_path):
+        amat, sig = tmp_path / "A.csv", tmp_path / "x.csv"
+        save_matrix_csv(amat, gen_matrix(EnsembleSpec("gaussian", 12, 24,
+                                                      seed=9)), seed=9)
+        save_vector_csv(sig, gen_signal(SignalSpec(24, 2, seed=10)), seed=10)
+        clean = ("recover", "--matrix", str(amat), "--signal", str(sig),
+                 "--algo", "cosamp")
+        noisy = clean + ("--noise-norm", "0.2")
+        code, first, err = run_cli(capsys, *noisy)
+        assert code == 0, err
+        _, rerun, _ = run_cli(capsys, *noisy)
+        _, reseeded, _ = run_cli(capsys, *noisy, "--seed", "1")
+        _, noiseless, _ = run_cli(capsys, *clean)
+        assert rerun == first
+        assert reseeded != first
+        assert json.loads(first)["error"] != json.loads(noiseless)["error"]
 
     def test_dimension_mismatch_is_exit_2(self, capsys, tmp_path):
         A = gen_matrix(EnsembleSpec("gaussian", 4, 8, seed=1))

@@ -186,6 +186,16 @@ class TestRegularize:
             floor = np.linalg.norm(v) / (2.5 * np.sqrt(np.log2(n)))
             assert np.linalg.norm(v[J0]) >= floor * (1 - 1e-12)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the candidates are greedy factor-2 runs and dyadic shells, not "
+        "every comparable window: it picks indices 2-21 (energy 1.80) "
+        "where the window 1-21 has energy 2.1025"))
+    def test_returns_maximal_energy_window(self):
+        # ROMP (Needell-Vershynin) keeps the comparable subset of maximal
+        # energy; 0.55 <= 2 * 0.3, so index 1 joins the twenty 0.3 entries
+        values = [1.0, 0.55] + [0.3] * 20
+        assert list(regularize(np.arange(22), values)) == list(range(1, 22))
+
 
 class TestRomp:
     def test_orthogonal_first_pick_is_top_s(self):
@@ -255,7 +265,7 @@ class TestCosamp:
         A = gen_matrix(EnsembleSpec("gaussian", 16, 64, seed=18))
         u = CounterRng(19).normal(16)
         rep = cosamp(A, u, CosampConfig(2, halting="fixed_iterations",
-                                        halt_value=5))
+                                        max_iters=5))
         assert rep.iterations == 5
         assert rep.halt_reason == "max_iterations"
 
@@ -263,8 +273,7 @@ class TestCosamp:
         A = gen_matrix(EnsembleSpec("gaussian", 32, 64, seed=20))
         x = gen_signal(SignalSpec(64, 4, seed=21))
         rep = cosamp(A, A @ x + 0.05 * CounterRng(22).normal(32),
-                     CosampConfig(4, halting="fixed_iterations", halt_value=8,
-                                  residual_tol=0.0))
+                     CosampConfig(4, halting="fixed_iterations", max_iters=8))
         for a in rep.estimate_history:
             assert np.count_nonzero(a) <= 4
 
@@ -311,11 +320,11 @@ class TestCosamp:
             CosampConfig(2, halting="sample_norm")
 
     @pytest.mark.parametrize("kwargs", [
-        {"halting": "fixed_iterations", "halt_value": 0},
-        {"halting": "fixed_iterations", "halt_value": -1},
-        {"halting": "fixed_iterations", "halt_value": 2.5},
-        {"halting": "fixed_iterations", "halt_value": np.nan},
-        {"halting": "fixed_iterations", "halt_value": np.inf},
+        {"halting": "fixed_iterations", "max_iters": 0},
+        {"halting": "fixed_iterations", "max_iters": -1},
+        {"halting": "fixed_iterations", "max_iters": 2.5},
+        {"halting": "fixed_iterations", "max_iters": np.nan},
+        {"halting": "fixed_iterations", "max_iters": np.inf},
         {"max_iters": 0},
         {"max_iters": -4},
         {"halting": "sample_norm", "halt_value": 1e-9, "max_iters": 0},
@@ -330,8 +339,14 @@ class TestCosamp:
         with pytest.raises(ValueError):
             CosampConfig(2, **kwargs)
 
+    @pytest.mark.parametrize("halt_value", [5, 5.0, 0.0])
+    def test_fixed_iterations_rejects_halt_value(self, halt_value):
+        # the count is max_iters; halt_value is only ever a norm threshold
+        with pytest.raises(ValueError, match="max_iters"):
+            CosampConfig(2, halting="fixed_iterations", halt_value=halt_value)
+
     def test_whole_number_float_budget_accepted(self):
-        assert CosampConfig(2, halt_value=5.0).iteration_cap == 5
+        assert CosampConfig(2, max_iters=5.0).iteration_cap == 5
         assert CosampConfig(2, halting="proxy_infnorm",
                             halt_value=0.0).iteration_cap == 18
 
@@ -399,7 +414,7 @@ class TestCosampContraction:
             e = 0.03 * rng.normal(m)
             u = A @ x + e
             rep = cosamp(A, u, CosampConfig(s, halting="fixed_iterations",
-                                            halt_value=10, residual_tol=0.0))
+                                            max_iters=10))
             errs = [np.linalg.norm(x)] + [
                 np.linalg.norm(x - a) for a in rep.estimate_history]
             for prev, nxt in zip(errs, errs[1:]):

@@ -4,8 +4,10 @@ Runs pool seed 0 of every ``greedy-gauss``, ``greedy-dct`` and ``analysis``
 cell template through ``cli.main`` and checks the output with the
 benchmark's own ``check.matches``.  Those references are byte-exact, so a
 change in the output of any greedy, partial-DCT, RIC or Kaczmarz path fails
-here as well as in the benchmark.  The convex workload is left to the
-benchmark: its cells are slow and are checked only to a relative tolerance.
+here as well as in the benchmark.  Of the convex workload only the
+``phase --algo bp`` templates run here (about 20 ms each), which guards
+``bp_equality``; its slow noise and reweighted-l1 cells are left to the
+benchmark.  Convex cells are checked to ``check.py``'s relative tolerance.
 """
 
 import contextlib
@@ -25,11 +27,14 @@ from sparsekit import cli  # noqa: E402
 BYTE_EXACT = ("greedy-gauss", "greedy-dct", "analysis")
 CELLS = [(name, argv + ("--seed", "0"))
          for name in BYTE_EXACT for argv, _ in WORKLOADS[name].templates]
+CELLS += [("convex-noisy", argv + ("--seed", "0"))
+          for argv, _ in WORKLOADS["convex-noisy"].templates
+          if argv[:3] == ("phase", "--algo", "bp")]
 
 
 @pytest.fixture(scope="module")
 def references():
-    return {name: load_references(name) for name in BYTE_EXACT}
+    return {name: load_references(name) for name in {n for n, _ in CELLS}}
 
 
 @pytest.mark.parametrize("name, argv", CELLS,
