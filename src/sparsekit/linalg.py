@@ -11,6 +11,7 @@ those; callers that loop over supports (the greedy solvers) check the whole
 matrix once up front.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,10 @@ LS_METHODS = ("richardson", "conjugate_gradient")
 
 class DivergenceError(RuntimeError):
     """Richardson iteration diverged (splitting norm >= 1)."""
+
+
+class JacobiSweepCapError(RuntimeError):
+    """Cyclic Jacobi still rotated in its last allowed sweep."""
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,9 @@ class LsConfig:
     def __post_init__(self):
         if self.method not in LS_METHODS:
             raise ValueError(f"unknown least-squares method {self.method!r}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if self.max_iters is not None and not (
+                self.max_iters >= 1 and float(self.max_iters).is_integer()):
+            raise ValueError("max_iters must be a whole number >= 1")
         if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
 
@@ -92,7 +98,7 @@ def least_squares(A_T, u, z0=None, cfg=None):
     if k == 0:
         return np.zeros(0), 0
     z = np.zeros(k) if z0 is None else as_vector(z0, k, "z0").copy()
-    max_iters = cfg.max_iters if cfg.max_iters is not None else 3 * k
+    max_iters = int(cfg.max_iters) if cfg.max_iters is not None else 3 * k
 
     atu = A_T.T @ u
     target = cfg.tol * np.linalg.norm(atu)
@@ -170,32 +176,67 @@ def pseudoinverse_apply(A, T, u, cfg=None, z0=None):
 
 
 def _jacobi_eigenvalues(G, tol=1e-15, max_sweeps=60):
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations."""
+    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
+
+    The Kaczmarz benchmark references are byte-exact, and R comes from the
+    smallest of these eigenvalues, so every entry goes through the same
+    IEEE operations in the same order as the kernel first written (kept
+    frozen in the tests).  Python floats, and ufuncs writing through row
+    and column views built once into two fixed buffers, only cut the
+    per-rotation overhead.
+
+    A sweep runs while the off-diagonal norm exceeds ``tol`` times the
+    Frobenius norm (at least 1).  That norm is the square root of a
+    difference of sums, so cancellation can hold it near 1e-8 of the scale
+    long after the rotations stop.  So a sweep that rotates no pair also
+    ends the loop: G is unchanged and every later sweep would skip every
+    pair.  Still rotating after ``max_sweeps`` sweeps raises
+    ``JacobiSweepCapError``.
+    """
     G = np.array(G, dtype=float)
     k = G.shape[0]
     if k == 1:
         return G[0, :1].copy()
     scale = max(np.linalg.norm(G), 1.0)
+    skip = tol * scale * 1e-3
+    cols, rows = list(G.T), list(G)
+    cs = np.empty((2, 1))             # [[c], [s]]
+    sc = cs[::-1]                     # [[s], [c]]
+    prod_a, prod_b = np.empty((2, k)), np.empty((2, k))
+    ca, sa = prod_a
+    sb, cb = prod_b
+    # local names, and out as the third positional argument, because the
+    # ufunc call overhead is most of the cost at these lengths
+    mul, sub, add = np.multiply, np.subtract, np.add
     for _ in range(max_sweeps):
         off = np.sqrt(max(np.sum(G**2) - np.sum(np.diag(G) ** 2), 0.0))
         if off <= tol * scale:
             break
+        rotated = False
         for p in range(k - 1):
             for q in range(p + 1, k):
-                apq = G[p, q]
-                if abs(apq) <= tol * scale * 1e-3:
+                apq = G.item(p, q)
+                if abs(apq) <= skip:
                     continue
-                theta = (G[q, q] - G[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * G[:, p] - s * G[:, q]
-                rot_q = s * G[:, p] + c * G[:, q]
-                G[:, p], G[:, q] = rot_p, rot_q
-                rot_p = c * G[p, :] - s * G[q, :]
-                rot_q = s * G[p, :] + c * G[q, :]
-                G[p, :], G[q, :] = rot_p, rot_q
+                rotated = True
+                theta = (G.item(q, q) - G.item(p, p)) / (2.0 * apq)
+                t = -1.0 if theta < 0 else 1.0
+                t = t / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                cs[0, 0] = c
+                cs[1, 0] = t * c
+                # columns p, q, then rows p, q:
+                # (a, b) <- (c a - s b, s a + c b)
+                for a, b in ((cols[p], cols[q]), (rows[p], rows[q])):
+                    mul(a, cs, prod_a)
+                    mul(b, sc, prod_b)
+                    sub(ca, sb, a)
+                    add(sa, cb, b)
+        if not rotated:
+            break
+    else:
+        raise JacobiSweepCapError(
+            f"cyclic Jacobi still rotating after {max_sweeps} sweeps")
     return np.sort(np.diag(G))
 
 
@@ -204,7 +245,11 @@ def extreme_singular_values(A_T):
     A_T = as_matrix(A_T)
     if A_T.shape[1] == 0:
         raise ValueError("need at least one column")
-    eigs = _jacobi_eigenvalues(A_T.T @ A_T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = A_T.T @ A_T
+    if not np.isfinite(gram).all():
+        raise ValueError("the Gram matrix A_T' A_T overflows; rescale A_T")
+    eigs = _jacobi_eigenvalues(gram)
     eigs = np.clip(eigs, 0.0, None)
     return float(np.sqrt(eigs[0])), float(np.sqrt(eigs[-1]))
 
@@ -215,12 +260,12 @@ def top_k(v, k):
     Returned sorted ascending.
     """
     v = as_vector(v)
+    if not (k >= 0 and float(k).is_integer()):
+        raise ValueError("k must be a whole number >= 0")
     if k > v.size:
         raise ValueError(f"k={k} exceeds vector length {v.size}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
     order = np.argsort(-np.abs(v), kind="stable")
-    return np.sort(order[:k])
+    return np.sort(order[:int(k)])
 
 
 def support(x, tol=0.0):

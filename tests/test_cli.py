@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsekit import bench
+from sparsekit import bench, linalg
 from sparsekit.cli import build_parser, main
 from sparsekit.convex import SolverError
 from sparsekit.ensembles import EnsembleSpec, SignalSpec, gen_matrix, gen_signal, save_matrix_csv, save_vector_csv
@@ -345,6 +345,14 @@ class TestNumericalFailureExit:
         assert code == 3 and out == ""
         assert "numerical failure: interior-point line search stalled" in err
         assert "Traceback" not in err
+
+    def test_jacobi_sweep_cap_is_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(linalg._jacobi_eigenvalues, "__defaults__",
+                            (1e-15, 1))
+        code, out, err = run_cli(capsys, "kaczmarz", "--m", "20", "--n", "5",
+                                 "--trials", "1", "--iters", "10")
+        assert code == 3 and out == ""
+        assert "numerical failure: cyclic Jacobi still rotating" in err
 
 
 class TestRecover:

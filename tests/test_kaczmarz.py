@@ -33,6 +33,12 @@ class TestTheory:
         with pytest.raises(ValueError):
             rk_theory(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    def test_gram_overflow_rejected(self):
+        # Not "rank deficient": the Gram matrix of this full-rank A is inf.
+        A = CounterRng(17).normal(18).reshape(6, 3) * 1e160
+        with pytest.raises(ValueError, match="overflow"):
+            rk_theory(A)
+
 
 class TestSolve:
     def test_fixed_point(self):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from sparsekit.ensembles import EnsembleSpec, gen_matrix
 from sparsekit.linalg import (
     DivergenceError,
+    JacobiSweepCapError,
     LsConfig,
+    _jacobi_eigenvalues,
     extreme_singular_values,
     least_squares,
     pseudoinverse_apply,
@@ -58,6 +61,18 @@ class TestLeastSquares:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             LsConfig(**kwargs)
+
+    @pytest.mark.parametrize("max_iters", [2.5, np.nan, np.inf])
+    def test_max_iters_must_be_whole(self, max_iters):
+        with pytest.raises(ValueError, match="whole number"):
+            LsConfig(max_iters=max_iters)
+
+    def test_whole_float_max_iters_runs(self):
+        A = near_identity_columns(20, 5, 0.02, seed=6)
+        u = CounterRng(7).normal(20)
+        z, its = least_squares(A, u, cfg=LsConfig(max_iters=2.0, tol=0.0))
+        z_int, _ = least_squares(A, u, cfg=LsConfig(max_iters=2, tol=0.0))
+        assert its == 2 and z.tobytes() == z_int.tobytes()
 
     def test_richardson_contraction_rate(self):
         # ||M|| <= 0.1 forces a 10x error reduction per sweep
@@ -168,6 +183,11 @@ class TestExtremeSingularValues:
         with pytest.raises(ValueError):
             extreme_singular_values(np.zeros((3, 0)))
 
+    def test_gram_overflow_raises(self):
+        A = CounterRng(17).normal(18).reshape(6, 3) * 1e160
+        with pytest.raises(ValueError, match="overflow"):
+            extreme_singular_values(A)
+
 
 class TestTopK:
     def test_tie_breaks_lexicographically(self):
@@ -183,6 +203,14 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k([1.0], 2)
 
+    @pytest.mark.parametrize("k", [2.5, np.nan, np.inf, -1])
+    def test_k_must_be_whole(self, k):
+        with pytest.raises(ValueError, match="whole number"):
+            top_k([3.0, 1.0, 2.0], k)
+
+    def test_whole_float_k(self):
+        assert list(top_k([3.0, 1.0, 2.0], 2.0)) == [0, 2]
+
     def test_value_permutation_invariance(self):
         # the selected values are the same under permutation of the input
         v = CounterRng(11).normal(50)
@@ -190,3 +218,95 @@ class TestTopK:
         chosen = np.sort(np.abs(v[top_k(v, 7)]))
         chosen_p = np.sort(np.abs(v[perm][top_k(v[perm], 7)]))
         np.testing.assert_array_equal(chosen, chosen_p)
+
+
+def jacobi_reference(G, tol=1e-15, max_sweeps=60):
+    """The cyclic Jacobi kernel as first written, kept frozen.
+
+    ``_jacobi_eigenvalues`` must return the same bytes: the Kaczmarz
+    benchmark references pin R, and R comes from the smallest of these
+    eigenvalues.
+    """
+    G = np.array(G, dtype=float)
+    k = G.shape[0]
+    if k == 1:
+        return G[0, :1].copy()
+    scale = max(np.linalg.norm(G), 1.0)
+    for _ in range(max_sweeps):
+        off = np.sqrt(max(np.sum(G**2) - np.sum(np.diag(G) ** 2), 0.0))
+        if off <= tol * scale:
+            break
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                apq = G[p, q]
+                if abs(apq) <= tol * scale * 1e-3:
+                    continue
+                theta = (G[q, q] - G[p, p]) / (2.0 * apq)
+                t = np.sign(theta) if theta != 0 else 1.0
+                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rot_p = c * G[:, p] - s * G[:, q]
+                rot_q = s * G[:, p] + c * G[:, q]
+                G[:, p], G[:, q] = rot_p, rot_q
+                rot_p = c * G[p, :] - s * G[q, :]
+                rot_q = s * G[p, :] + c * G[q, :]
+                G[p, :], G[q, :] = rot_p, rot_q
+    return np.sort(np.diag(G))
+
+
+def kaczmarz_gram(seed):
+    """The Gram matrix ``rk_theory`` factors in a ``kaczmarz`` benchmark
+    cell (m=100, n=50) with CLI seed ``seed``, trial 0."""
+    tseed = stream_seed(seed, "kaczmarz", 0)
+    A = gen_matrix(EnsembleSpec("gaussian", 100, 50,
+                                seed=stream_seed(tseed, "matrix"),
+                                normalize=False))
+    return A.T @ A
+
+
+def jacobi_battery():
+    """Seeded symmetric inputs: (label, matrix) pairs."""
+    rng = CounterRng(stream_seed(18, "jacobi-battery"))
+    cases = []
+    for k in (1, 2, 7, 50):
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            X = rng.normal((k + 3) * k).reshape(k + 3, k)
+            cases.append((f"gram-k{k}-x{scale:g}", scale * (X.T @ X)))
+    cases.append(("diagonal", np.diag([3.0, -1.0, 2.0, 0.5])))
+    Z = np.diag([2.0, 5.0, 1.0, 4.0])
+    Z[0, 2] = Z[2, 0] = 0.75
+    cases.append(("zeros-off-diagonal", Z))
+    Q, _ = np.linalg.qr(rng.normal(36).reshape(6, 6))
+    cases.append(("repeated", Q @ np.diag([2.0, 2.0, 2.0, 5.0, 5.0, -1.0]) @ Q.T))
+    cases.append(("all-ones", np.ones((5, 5))))
+    # theta == 0 on the first pair, which must rotate by +45 degrees
+    cases.append(("equal-diagonal", np.array([[2.0, 1.0, 0.5],
+                                              [1.0, 2.0, 0.25],
+                                              [0.5, 0.25, 2.0]])))
+    cases.append(("two-by-two", np.array([[2.0, 1.0], [1.0, 2.0]])))
+    cases.append(("kaczmarz-seed0", kaczmarz_gram(0)))
+    return cases
+
+
+JACOBI_BATTERY = jacobi_battery()
+
+
+class TestJacobiEigenvalues:
+    @pytest.mark.parametrize("label, G", JACOBI_BATTERY,
+                             ids=[label for label, _ in JACOBI_BATTERY])
+    def test_same_bytes_as_reference(self, label, G):
+        assert _jacobi_eigenvalues(G).tobytes() == jacobi_reference(G).tobytes()
+
+    def test_sweep_cap_raises(self):
+        G = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
+        with pytest.raises(JacobiSweepCapError):
+            _jacobi_eigenvalues(G, max_sweeps=1)
+
+    def test_idle_sweep_stops(self):
+        # Cancellation holds the off-diagonal estimate of this matrix at
+        # 1.2e-8 of its scale, far above tol * scale, when its ninth sweep
+        # rotates nothing; the frozen kernel then runs idle to its 60-sweep
+        # cap.  Without the idle stop the new kernel would raise here.
+        G = kaczmarz_gram(3)
+        assert _jacobi_eigenvalues(G).tobytes() == jacobi_reference(G).tobytes()

@@ -4,7 +4,9 @@ Runs pool seed 0 of every ``greedy-gauss``, ``greedy-dct`` and ``analysis``
 cell template through ``cli.main`` and checks the output with the
 benchmark's own ``check.matches``.  Those references are byte-exact, so a
 change in the output of any greedy, partial-DCT, RIC or Kaczmarz path fails
-here as well as in the benchmark.  Of the convex workload only the
+here as well as in the benchmark.  The ``kaczmarz`` template also runs at
+pool seed 3: at seed 0 the Jacobi kernel stops through its off-diagonal
+test, at seed 3 through its idle-sweep stop.  Of the convex workload only the
 ``phase --algo bp`` templates run here (about 20 ms each), which guards
 ``bp_equality``; its slow noise and reweighted-l1 cells are left to the
 benchmark.  Convex cells are checked to ``check.py``'s relative tolerance.
@@ -27,6 +29,9 @@ from sparsekit import cli  # noqa: E402
 BYTE_EXACT = ("greedy-gauss", "greedy-dct", "analysis")
 CELLS = [(name, argv + ("--seed", "0"))
          for name in BYTE_EXACT for argv, _ in WORKLOADS[name].templates]
+CELLS += [("analysis", argv + ("--seed", "3"))
+          for argv, _ in WORKLOADS["analysis"].templates
+          if argv[0] == "kaczmarz"]
 CELLS += [("convex-noisy", argv + ("--seed", "0"))
           for argv, _ in WORKLOADS["convex-noisy"].templates
           if argv[:3] == ("phase", "--algo", "bp")]
