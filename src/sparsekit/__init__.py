@@ -22,6 +22,7 @@ from .ensembles import (
     NoiseSpec,
     SignalSpec,
     dct_matrix,
+    fast_adjoint,
     gen_matrix,
     gen_noise,
     gen_signal,

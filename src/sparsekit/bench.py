@@ -17,7 +17,15 @@ import numpy as np
 
 from . import kaczmarz  # kaczmarz.rk_theory: perfbench traces module attributes
 from .convex import RwConfig, bp_denoise, bp_equality, reweighted_l1, rw_error_recursion
-from .ensembles import EnsembleSpec, NoiseSpec, SignalSpec, gen_matrix, gen_noise, gen_signal
+from .ensembles import (
+    EnsembleSpec,
+    NoiseSpec,
+    SignalSpec,
+    fast_adjoint,
+    gen_matrix,
+    gen_noise,
+    gen_signal,
+)
 from .greedy import CosampConfig, StompConfig, cosamp, cosamp_cap, omp, prune, romp, stomp
 from .kaczmarz import rk_solve
 from .rng import stream_seed
@@ -70,11 +78,12 @@ class ExperimentGrid:
                 warnings.warn(f"cell with m={m} > d={self.d}", stacklevel=3)
 
 
-def run_algorithm(algorithm, A, u, s, e_norm=0.0):
+def run_algorithm(algorithm, A, u, s, e_norm=0.0, adjoint=None):
     """Dispatch one recovery; returns (estimate, iterations).
 
     ``e_norm`` = ||e|| is the noise bound of ``bp`` and ``cosamp``; ``rwl1``
     uses epsilon = sigma sqrt(m + 2 sqrt(2m)) with sigma = e_norm / sqrt(m).
+    ``adjoint`` (r -> A'r) is handed to the greedy solvers for their proxy.
     """
     m = A.shape[0]
     if s == 0:
@@ -84,16 +93,17 @@ def run_algorithm(algorithm, A, u, s, e_norm=0.0):
             return bp_equality(A, u), 1
         return bp_denoise(A, u, e_norm), 1
     if algorithm == "omp":
-        rep = omp(A, u, min(s, m))
+        rep = omp(A, u, min(s, m), adjoint=adjoint)
     elif algorithm == "stomp":
-        rep = stomp(A, u, StompConfig())
+        rep = stomp(A, u, StompConfig(), adjoint=adjoint)
     elif algorithm == "romp":
-        rep = romp(A, u, s)
+        rep = romp(A, u, s, adjoint=adjoint)
     elif algorithm == "cosamp":
         eps = max(1.01 * e_norm, 1e-9 * max(float(np.linalg.norm(u)), 1.0))
         rep = cosamp(A, u, CosampConfig(s, halting="sample_norm",
                                         halt_value=eps,
-                                        max_iters=max(10 * s, 60)))
+                                        max_iters=max(10 * s, 60)),
+                     adjoint=adjoint)
     elif algorithm == "rwl1":
         sigma = e_norm / np.sqrt(m)
         eps = float(np.sqrt(sigma**2 * (m + 2 * np.sqrt(2 * m))))
@@ -105,8 +115,9 @@ def run_algorithm(algorithm, A, u, s, e_norm=0.0):
 
 def _one_trial(grid, s, m, trial):
     seed = stream_seed(grid.seed, grid.algorithm, s, m, trial)
-    A = gen_matrix(EnsembleSpec(grid.ensemble, m, grid.d,
-                                seed=stream_seed(seed, "matrix")))
+    spec = EnsembleSpec(grid.ensemble, m, grid.d,
+                        seed=stream_seed(seed, "matrix"))
+    A = gen_matrix(spec)
     x = gen_signal(SignalSpec(grid.d, s, grid.signal_kind, grid.signal_p,
                               seed=stream_seed(seed, "signal"),
                               random_signs=grid.random_signs))
@@ -122,7 +133,8 @@ def _one_trial(grid, s, m, trial):
     else:
         e_norm = float(np.linalg.norm(noise))
         u = clean + noise
-    x_hat, iterations = run_algorithm(grid.algorithm, A, u, s, e_norm)
+    x_hat, iterations = run_algorithm(grid.algorithm, A, u, s, e_norm,
+                                      fast_adjoint(spec))
     err = float(np.linalg.norm(x_hat - x))
     xnorm = float(np.linalg.norm(x))
     normalized = err / xnorm if xnorm > 0 else float(np.linalg.norm(x_hat))

@@ -330,9 +330,9 @@ class RwConfig:
     """Reweighted iteration settings.
 
     ``epsilon`` is the noise bound handed to each weighted solve (0 means
-    the equality-constrained problem).  ``max_iters`` weighted solves are
-    performed; the weight-stability parameter is fixed (see
-    ``reweighted_l1``).
+    the equality-constrained problem).  ``max_iters`` (a whole number >= 1)
+    weighted solves are performed; the weight-stability parameter is fixed
+    (see ``reweighted_l1``).
     """
 
     epsilon: float = 0.0
@@ -341,8 +341,8 @@ class RwConfig:
     def __post_init__(self):
         if not self.epsilon >= 0:     # NaN epsilon fails too
             raise ValueError("epsilon must be >= 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (self.max_iters >= 1 and float(self.max_iters).is_integer()):
+            raise ValueError("max_iters must be a whole number >= 1")
 
 
 def reweighted_l1(A, u, cfg=None):
@@ -361,13 +361,14 @@ def reweighted_l1(A, u, cfg=None):
     estimates = []
     residuals = []
     x = np.zeros(d)
-    for k in range(1, cfg.max_iters + 1):
+    iters = int(cfg.max_iters)
+    for k in range(1, iters + 1):
         x = bp_denoise(A, u, cfg.epsilon, weights=weights)
         estimates.append(x.copy())
         residuals.append(float(np.linalg.norm(u - A @ x)))
         weights = 1.0 / (np.abs(x) + 1.0 / (1000.0 * k))
     supp = support(x, 1e-8 * max(1.0, float(np.max(np.abs(x)))))
-    return RecoveryReport(x, supp, cfg.max_iters, residuals,
+    return RecoveryReport(x, supp, iters, residuals,
                           HALT_MAX_ITERATIONS, estimate_history=estimates)
 
 

@@ -4,6 +4,18 @@ All solvers take a measurement matrix A (m x d), a sample vector u (length
 m), and return a :class:`RecoveryReport` whose estimate is a dense length-d
 vector with tracked support.  Selection ties always break toward the
 smaller index.
+
+Each solver also takes ``adjoint``, a function r -> A'r (such as
+``ensembles.fast_adjoint(spec)`` for a partial DCT), and forms its proxy
+through it in place of the dense product.  Least squares always reads A's
+own columns, so an estimate depends only on the index sets selected.  Those
+match the dense run's unless two proxy entries tie to within rounding,
+which for the partial DCT is a few 1e-13 of the largest entry.
+OMP, ROMP and CoSaMP form each residual from the support columns alone, so
+with a fast adjoint an iteration reads no m x d block of A.  StOMP keeps the
+full product A x_hat: its threshold t ||r|| / sqrt(m) acts on a residual
+near the noise floor, and the support-column sum, rounded in another order,
+moves some of its selections.
 """
 
 import warnings
@@ -149,12 +161,12 @@ def regularize(indices, values):
     return np.sort(indices[order[best[0]:best[1]]])
 
 
-def omp(A, u, s):
+def omp(A, u, s, adjoint=None):
     """Orthogonal matching pursuit: s rounds of single-index selection.
 
-    Each round picks the largest coordinate of the proxy A'r among the
-    still-unselected columns, then re-fits by least squares on the running
-    index set.
+    Each round picks the largest coordinate of the proxy A'r (through
+    ``adjoint`` when given) among the still-unselected columns, then re-fits
+    by least squares on the running index set.
     """
     A = as_matrix(A)
     m, d = A.shape
@@ -170,20 +182,24 @@ def omp(A, u, s):
     for _ in range(s):
         if np.linalg.norm(r) <= RESIDUAL_TOL:
             break
-        y = np.abs(A.T @ r)
+        y = np.abs(A.T @ r if adjoint is None else adjoint(r))
         y[I] = -1.0
         lam = int(np.argmax(y))
         I = np.sort(np.append(I, lam))
         x_hat = pseudoinverse_apply(A, I, u)
-        r = u - A @ x_hat
+        r = u - A[:, I] @ x_hat[I]
         history.append(float(np.linalg.norm(r)))
     halt = (HALT_RESIDUAL_ZERO if np.linalg.norm(r) <= RESIDUAL_TOL
             else HALT_MAX_ITERATIONS)
     return RecoveryReport(x_hat, I, len(history), history, halt)
 
 
-def stomp(A, u, cfg=None):
-    """Stagewise OMP: threshold the proxy at t * ||r||/sqrt(m) per stage."""
+def stomp(A, u, cfg=None, adjoint=None):
+    """Stagewise OMP: threshold the proxy at t * ||r||/sqrt(m) per stage.
+
+    The proxy goes through ``adjoint`` when given; the residual is always
+    u - A x_hat over all of A (see the module docstring).
+    """
     A = as_matrix(A)
     m, d = A.shape
     u = as_vector(u, m, "u")
@@ -196,7 +212,7 @@ def stomp(A, u, cfg=None):
     stages = 0
     while stages < cfg.max_stages:
         stages += 1
-        y = A.T @ r
+        y = A.T @ r if adjoint is None else adjoint(r)
         y[I] = 0.0
         sigma = np.linalg.norm(r) / np.sqrt(m)
         J = np.flatnonzero(np.abs(y) > cfg.t * sigma)
@@ -220,9 +236,10 @@ def stomp(A, u, cfg=None):
     return RecoveryReport(x_hat, I, stages, history, halt)
 
 
-def romp(A, u, s):
-    """Regularized OMP: select up to s proxy coordinates, keep a maximal-
-    energy comparable subset, re-fit, repeat.
+def romp(A, u, s, adjoint=None):
+    """Regularized OMP: select up to s proxy coordinates (the proxy through
+    ``adjoint`` when given), keep a maximal-energy comparable subset,
+    re-fit, repeat.
 
     Halts when the residual norm is at most ``ROMP_RESIDUAL_TOL``, the index
     set reaches 2s columns, or after s rounds.  The report's
@@ -253,7 +270,7 @@ def romp(A, u, s):
         if it >= s:
             halt = HALT_MAX_ITERATIONS
             break
-        y = A.T @ r
+        y = A.T @ r if adjoint is None else adjoint(r)
         y[I] = 0.0
         nonzero = int(np.count_nonzero(y))
         if nonzero == 0:
@@ -267,7 +284,7 @@ def romp(A, u, s):
             J0 = J0[top_k(y[J0], m - I.size)]
         I = np.union1d(I, J0).astype(np.intp)
         x_hat = pseudoinverse_apply(A, I, u)
-        r = u - A @ x_hat
+        r = u - A[:, I] @ x_hat[I]
         it += 1
         history.append(float(np.linalg.norm(r)))
         selections.append(J0)
@@ -275,14 +292,15 @@ def romp(A, u, s):
                           selection_history=selections)
 
 
-def cosamp(A, u, cfg):
+def cosamp(A, u, cfg, adjoint=None):
     """Compressive sampling matching pursuit.
 
-    Per iteration: proxy from the current samples, identify 2s entries,
-    merge with the running support (at most 3s columns), least-squares
-    estimate warm-started from the previous approximation, prune to s,
-    update the samples.  Before each iteration the run halts with
-    ``sample_norm_criterion`` when the rule is ``sample_norm`` and
+    Per iteration: proxy from the current samples (through ``adjoint`` when
+    given), identify 2s entries, merge with the running support (at most 3s
+    columns), least-squares estimate warm-started from the previous
+    approximation, prune it over the merged support to s entries, update
+    the samples from the kept columns.  Before each iteration the run halts
+    with ``sample_norm_criterion`` when the rule is ``sample_norm`` and
     ||v|| <= halt_value, with ``residual_zero`` when ||v|| <= RESIDUAL_TOL,
     or at ``cfg.iteration_cap``; once the proxy y = A'v is formed, the
     ``proxy_infnorm`` rule halts when max|y| <= halt_value / sqrt(2s).  The
@@ -297,6 +315,7 @@ def cosamp(A, u, cfg):
             f"cosamp with 4s={4 * s} > m={m} measurements is outside the "
             "recommended regime", stacklevel=2)
     a = np.zeros(d)
+    cur = np.zeros(0, dtype=np.intp)
     v = u.copy()
     history = []
     estimates = []
@@ -313,14 +332,13 @@ def cosamp(A, u, cfg):
         if it >= cap:
             halt = HALT_MAX_ITERATIONS
             break
-        y = A.T @ v
+        y = A.T @ v if adjoint is None else adjoint(v)
         if (cfg.halting == "proxy_infnorm"
                 and np.max(np.abs(y)) <= cfg.halt_value / np.sqrt(2 * s)):
             halt = HALT_PROXY_INFNORM
             break
         omega = top_k(y, min(2 * s, d))
         omega = omega[y[omega] != 0.0]
-        cur = support(a)
         if cur.size + omega.size > m:
             # outside the recommended regime: keep the fit determined
             omega = omega[top_k(y[omega], m - cur.size)]
@@ -328,10 +346,14 @@ def cosamp(A, u, cfg):
         if T.size > 3 * s:
             raise RuntimeError(
                 f"cosamp merged support has {T.size} > 3s={3 * s} columns")
-        a = prune(pseudoinverse_apply(A, T, u, COSAMP_LS, z0=a), s)
-        v = u - A @ a
+        # the estimate is zero outside T, so pruning T prunes all of it
+        b = pseudoinverse_apply(A, T, u, COSAMP_LS, z0=a)
+        a = np.zeros(d)
+        a[T] = prune(b[T], s)
+        cur = support(a)
+        v = u - A[:, cur] @ a[cur]
         it += 1
         history.append(float(np.linalg.norm(v)))
         estimates.append(a.copy())
-    return RecoveryReport(a, support(a), it, history, halt,
+    return RecoveryReport(a, cur, it, history, halt,
                           estimate_history=estimates)

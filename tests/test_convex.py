@@ -331,6 +331,17 @@ class TestReweighted:
         with pytest.raises(ValueError, match="epsilon"):
             RwConfig(epsilon=float("nan"))
 
+    @pytest.mark.parametrize("max_iters", [2.5, np.nan, np.inf, 0, -1])
+    def test_max_iters_must_be_whole(self, max_iters):
+        with pytest.raises(ValueError, match="whole number >= 1"):
+            RwConfig(max_iters=max_iters)
+
+    def test_whole_float_max_iters_runs(self):
+        A = gen_matrix(EnsembleSpec("gaussian", 6, 12, seed=20))
+        rep = reweighted_l1(A, np.zeros(6), RwConfig(max_iters=2.0))
+        assert rep.iterations == 2
+        assert len(rep.estimate_history) == 2
+
     def test_noiseless_fixed_point(self):
         A = gen_matrix(EnsembleSpec("gaussian", 16, 32, seed=18))
         x = gen_signal(SignalSpec(32, 2, seed=19))

@@ -1,3 +1,5 @@
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from sparsekit.ensembles import (
     NoiseSpec,
     SignalSpec,
     dct_matrix,
+    fast_adjoint,
     gen_matrix,
     gen_noise,
     gen_signal,
@@ -164,6 +167,33 @@ class TestDctRows:
             gen_matrix(EnsembleSpec("partial_dct", 16, 128, seed=seed))
         assert calls == [(128,)]
 
+    def test_threads_that_miss_together_build_once(self, monkeypatch):
+        # the slow build holds both threads inside the miss at once
+        calls = []
+
+        def slow(*args):
+            calls.append(args)
+            time.sleep(0.2)
+            return dct_matrix(*args)
+
+        monkeypatch.setattr(ensembles, "dct_matrix", slow)
+        barrier = threading.Barrier(2)
+        out = [None, None]
+
+        def draw(i):
+            barrier.wait()
+            out[i] = gen_matrix(EnsembleSpec("partial_dct", 8, 64, seed=i))
+
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert calls == [(64,)]
+        for i in range(2):
+            spec = EnsembleSpec("partial_dct", 8, 64, seed=i)
+            assert out[i].tobytes() == gen_matrix(spec).tobytes()
+
     def test_memory_follows_selected_rows(self):
         tracemalloc.start()
         try:
@@ -173,6 +203,26 @@ class TestDctRows:
             tracemalloc.stop()
         assert A.shape == (16, 4096)
         assert peak < 8 * 2**20         # all 4096 x 4096 rows take 128 MB
+
+
+class TestFastAdjoint:
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("d", [64, 1000, 1024, 2048])
+    @pytest.mark.parametrize("frac", [0, 4, 1], ids=["m=1", "m=d/4", "m=d"])
+    def test_matches_dense_transpose(self, d, frac, normalize):
+        # d=1000 is not a power of two; 1024 gathers from the cached
+        # matrix, 2048 builds only the drawn rows
+        m = 1 if frac == 0 else d // frac
+        spec = EnsembleSpec("partial_dct", m, d, seed=7, normalize=normalize)
+        r = CounterRng(stream_seed("adjoint", d, m)).normal(m)
+        want = gen_matrix(spec).T @ r
+        got = fast_adjoint(spec)(r)
+        assert got.shape == (d,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+    def test_dense_families_have_none(self, family):
+        assert fast_adjoint(EnsembleSpec(family, 8, 16)) is None
 
 
 class TestSignals:

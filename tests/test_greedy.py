@@ -3,7 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from sparsekit.ensembles import EnsembleSpec, SignalSpec, gen_matrix, gen_signal
+from sparsekit.ensembles import (
+    EnsembleSpec,
+    NoiseSpec,
+    SignalSpec,
+    fast_adjoint,
+    gen_matrix,
+    gen_noise,
+    gen_signal,
+)
 from sparsekit.greedy import (
     CosampConfig,
     StompConfig,
@@ -421,6 +429,38 @@ class TestCosampContraction:
                 assert nxt <= 0.5 * prev + 7.5 * np.linalg.norm(e) + 1e-12
             checked += 1
         assert checked >= 8
+
+
+def _partial_dct_instance(i):
+    """Instance i of a seeded partial-DCT battery: odd ones carry 1% noise."""
+    m, s = (64, 96, 128)[i % 3], (4, 8, 12, 16)[i % 4]
+    seed = stream_seed("adjoint-battery", i)
+    spec = EnsembleSpec("partial_dct", m, 256, seed=seed)
+    A = gen_matrix(spec)
+    x = gen_signal(SignalSpec(256, s, ("flat", "compressible")[i // 10],
+                              seed=seed, random_signs=True))
+    u = A @ x
+    e = gen_noise(NoiseSpec(m, 0.01 * np.linalg.norm(u) * (i % 2), seed=seed))
+    return spec, A, u + e, s
+
+
+@pytest.mark.parametrize("solve", [
+    lambda A, u, s, adj: omp(A, u, s, adjoint=adj),
+    lambda A, u, s, adj: stomp(A, u, adjoint=adj),
+    lambda A, u, s, adj: romp(A, u, s, adjoint=adj),
+    lambda A, u, s, adj: cosamp(A, u, CosampConfig(
+        s, halting="sample_norm", halt_value=1e-9 * np.linalg.norm(u),
+        max_iters=60), adjoint=adj),
+], ids=["omp", "stomp", "romp", "cosamp"])
+def test_fast_adjoint_keeps_estimate_bytes(solve):
+    # the proxy moves only by rounding, and least squares reads A itself
+    for i in range(20):
+        spec, A, u, s = _partial_dct_instance(i)
+        dense = solve(A, u, s, None)
+        fast = solve(A, u, s, fast_adjoint(spec))
+        assert fast.estimate.tobytes() == dense.estimate.tobytes(), i
+        assert fast.iterations == dense.iterations, i
+        assert np.array_equal(fast.support, dense.support), i
 
 
 class TestNormComparison:
