@@ -28,6 +28,7 @@ from .ensembles import (
 )
 from .greedy import CosampConfig, StompConfig, cosamp, cosamp_cap, omp, prune, romp, stomp
 from .kaczmarz import rk_solve
+from .linalg import as_count
 from .rng import stream_seed
 
 ALGORITHMS = ("bp", "omp", "stomp", "romp", "cosamp", "rwl1")
@@ -58,16 +59,12 @@ class ExperimentGrid:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("d", "trials", "threads"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.noise_mode not in ("measurement", "signal"):
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
         if self.noise_norm and self.noise_fraction:
             raise ValueError("give noise_norm or noise_fraction, not both")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if not self.success_threshold >= 0:
             raise ValueError("success_threshold must be >= 0")
         if not self.m_values or not self.s_values:
@@ -85,7 +82,6 @@ def run_algorithm(algorithm, A, u, s, e_norm=0.0, adjoint=None):
     uses epsilon = sigma sqrt(m + 2 sqrt(2m)) with sigma = e_norm / sqrt(m).
     ``adjoint`` (r -> A'r) is handed to the greedy solvers for their proxy.
     """
-    m = A.shape[0]
     if s == 0:
         return np.zeros(A.shape[1]), 0
     if algorithm == "bp":
@@ -93,7 +89,7 @@ def run_algorithm(algorithm, A, u, s, e_norm=0.0, adjoint=None):
             return bp_equality(A, u), 1
         return bp_denoise(A, u, e_norm), 1
     if algorithm == "omp":
-        rep = omp(A, u, min(s, m), adjoint=adjoint)
+        rep = omp(A, u, s, adjoint=adjoint)
     elif algorithm == "stomp":
         rep = stomp(A, u, StompConfig(), adjoint=adjoint)
     elif algorithm == "romp":
@@ -105,6 +101,7 @@ def run_algorithm(algorithm, A, u, s, e_norm=0.0, adjoint=None):
                                         max_iters=max(10 * s, 60)),
                      adjoint=adjoint)
     elif algorithm == "rwl1":
+        m = A.shape[0]
         sigma = e_norm / np.sqrt(m)
         eps = float(np.sqrt(sigma**2 * (m + 2 * np.sqrt(2 * m))))
         rep = reweighted_l1(A, u, RwConfig(epsilon=eps))
@@ -271,8 +268,7 @@ def run_kaczmarz_study(m, n, trials, iters, noise_fraction, seed,
     """
     if m < n:
         raise ValueError("need m >= n (overdetermined system)")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = as_count(trials, "trials")
     rows = []
     x_true = np.zeros(n)
     for trial in range(trials):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, support
+from .linalg import as_count, as_matrix, as_vector, support
 from .reports import HALT_MAX_ITERATIONS, RecoveryReport
 
 
@@ -341,8 +341,7 @@ class RwConfig:
     def __post_init__(self):
         if not self.epsilon >= 0:     # NaN epsilon fails too
             raise ValueError("epsilon must be >= 0")
-        if not (self.max_iters >= 1 and float(self.max_iters).is_integer()):
-            raise ValueError("max_iters must be a whole number >= 1")
+        object.__setattr__(self, "max_iters", as_count(self.max_iters, "max_iters"))
 
 
 def reweighted_l1(A, u, cfg=None):
@@ -361,14 +360,13 @@ def reweighted_l1(A, u, cfg=None):
     estimates = []
     residuals = []
     x = np.zeros(d)
-    iters = int(cfg.max_iters)
-    for k in range(1, iters + 1):
+    for k in range(1, cfg.max_iters + 1):
         x = bp_denoise(A, u, cfg.epsilon, weights=weights)
         estimates.append(x.copy())
         residuals.append(float(np.linalg.norm(u - A @ x)))
         weights = 1.0 / (np.abs(x) + 1.0 / (1000.0 * k))
     supp = support(x, 1e-8 * max(1.0, float(np.max(np.abs(x)))))
-    return RecoveryReport(x, supp, iters, residuals,
+    return RecoveryReport(x, supp, cfg.max_iters, residuals,
                           HALT_MAX_ITERATIONS, estimate_history=estimates)
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_count
 from .rng import CounterRng, stream_seed
 
 FAMILIES = ("gaussian", "bernoulli", "partial_dct")
@@ -56,8 +57,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown ensemble family {self.family!r}")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("rows and cols must be >= 1")
+        for name in ("rows", "cols"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.family == "partial_dct" and self.rows > self.cols:
             raise ValueError("partial_dct requires rows <= cols")
 

@@ -5,6 +5,10 @@ m), and return a :class:`RecoveryReport` whose estimate is a dense length-d
 vector with tracked support.  Selection ties always break toward the
 smaller index.
 
+A least-squares fit is determined on at most m columns, so no solver's
+index set grows past m: a step whose candidates would pass m keeps the
+largest-magnitude ones (``_cap_columns``), and OMP runs min(s, m) rounds.
+
 Each solver also takes ``adjoint``, a function r -> A'r (such as
 ``ensembles.fast_adjoint(spec)`` for a partial DCT), and forms its proxy
 through it in place of the dense product.  Least squares always reads A's
@@ -25,6 +29,7 @@ import numpy as np
 
 from .linalg import (
     LsConfig,
+    as_count,
     as_matrix,
     as_vector,
     pseudoinverse_apply,
@@ -54,10 +59,9 @@ class StompConfig:
     max_stages: int = 10
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("threshold parameter t must be > 0")
-        if self.max_stages < 1:
-            raise ValueError("max_stages must be >= 1")
+        if not 0 < self.t < np.inf:
+            raise ValueError("threshold parameter t must be > 0 and finite")
+        object.__setattr__(self, "max_stages", as_count(self.max_stages, "max_stages"))
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,7 @@ class CosampConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("sparsity s must be >= 1")
+        object.__setattr__(self, "s", as_count(self.s, "sparsity s"))
         if self.halting not in ("fixed_iterations", "sample_norm", "proxy_infnorm"):
             raise ValueError(f"unknown halting rule {self.halting!r}")
         if self.halting == "fixed_iterations":
@@ -89,13 +92,12 @@ class CosampConfig:
                 raise ValueError("fixed_iterations takes max_iters, not halt_value")
         elif self.halt_value is None or not self.halt_value >= 0:
             raise ValueError(f"halting rule {self.halting!r} needs halt_value >= 0")
-        if self.max_iters is not None and not (
-                self.max_iters >= 1 and float(self.max_iters).is_integer()):
-            raise ValueError("max_iters must be a whole number >= 1")
+        if self.max_iters is not None:
+            object.__setattr__(self, "max_iters", as_count(self.max_iters, "max_iters"))
 
     @property
     def iteration_cap(self):
-        return cosamp_cap(self.s) if self.max_iters is None else int(self.max_iters)
+        return self.max_iters or cosamp_cap(self.s)
 
 
 def cosamp_cap(s):
@@ -107,11 +109,16 @@ def prune(b, s):
     """Keep the s largest-magnitude entries (ties to smaller index), zero the rest."""
     b = as_vector(b)
     out = np.zeros_like(b)
-    if s <= 0:
-        return out
-    keep = top_k(b, min(s, b.size))
+    keep = top_k(b, min(as_count(s, "s", low=0), b.size))
     out[keep] = b[keep]
     return out
+
+
+def _cap_columns(y, J, held, m):
+    """J, or its m - held largest-magnitude proxy entries y[J] (ties to the
+    smaller index) when held + |J| would pass m columns."""
+    room = m - held
+    return J if J.size <= room else J[top_k(y[J], room)]
 
 
 def regularize(indices, values):
@@ -162,19 +169,16 @@ def regularize(indices, values):
 
 
 def omp(A, u, s, adjoint=None):
-    """Orthogonal matching pursuit: s rounds of single-index selection.
+    """Orthogonal matching pursuit: min(s, m) rounds of single-index selection.
 
     Each round picks the largest coordinate of the proxy A'r (through
     ``adjoint`` when given) among the still-unselected columns, then re-fits
-    by least squares on the running index set.
+    by least squares on the running index set; s > m runs as s = m.
     """
     A = as_matrix(A)
     m, d = A.shape
     u = as_vector(u, m, "u")
-    if s < 1:
-        raise ValueError("sparsity s must be >= 1")
-    if s > m:
-        raise ValueError(f"sparsity s={s} exceeds {m} measurements")
+    s = min(as_count(s, "sparsity s"), m)
     I = np.zeros(0, dtype=np.intp)
     x_hat = np.zeros(d)
     r = u.copy()
@@ -219,10 +223,7 @@ def stomp(A, u, cfg=None, adjoint=None):
         if J.size == 0:
             halt = HALT_PROXY_INFNORM
             break
-        if I.size + J.size > m:
-            # keep the largest entries so the fit stays determined
-            keep = top_k(y[J], m - I.size)
-            J = J[keep]
+        J = _cap_columns(y, J, I.size, m)
         I = np.union1d(I, J).astype(np.intp)
         x_hat = pseudoinverse_apply(A, I, u)
         r = u - A @ x_hat
@@ -248,8 +249,7 @@ def romp(A, u, s, adjoint=None):
     A = as_matrix(A)
     m, d = A.shape
     u = as_vector(u, m, "u")
-    if s < 1:
-        raise ValueError("sparsity s must be >= 1")
+    s = as_count(s, "sparsity s")
     if 2 * s > m:
         warnings.warn(
             f"romp with 2s={2 * s} > m={m} measurements is outside the "
@@ -278,10 +278,7 @@ def romp(A, u, s, adjoint=None):
             break
         k = min(s, nonzero)
         order = np.argsort(-np.abs(y), kind="stable")[:k]
-        J0 = regularize(order, y[order])
-        if I.size + J0.size > m:
-            # outside the recommended regime: keep the fit determined
-            J0 = J0[top_k(y[J0], m - I.size)]
+        J0 = _cap_columns(y, regularize(order, y[order]), I.size, m)
         I = np.union1d(I, J0).astype(np.intp)
         x_hat = pseudoinverse_apply(A, I, u)
         r = u - A[:, I] @ x_hat[I]
@@ -296,15 +293,16 @@ def cosamp(A, u, cfg, adjoint=None):
     """Compressive sampling matching pursuit.
 
     Per iteration: proxy from the current samples (through ``adjoint`` when
-    given), identify 2s entries, merge with the running support (at most 3s
-    columns), least-squares estimate warm-started from the previous
-    approximation, prune it over the merged support to s entries, update
-    the samples from the kept columns.  Before each iteration the run halts
-    with ``sample_norm_criterion`` when the rule is ``sample_norm`` and
-    ||v|| <= halt_value, with ``residual_zero`` when ||v|| <= RESIDUAL_TOL,
-    or at ``cfg.iteration_cap``; once the proxy y = A'v is formed, the
-    ``proxy_infnorm`` rule halts when max|y| <= halt_value / sqrt(2s).  The
-    report's ``estimate_history`` holds the estimate after each iteration.
+    given), identify 2s entries, merge with the running support (at most
+    min(3s, m) columns), least-squares estimate warm-started from the
+    previous approximation, prune it over the merged support to s entries,
+    update the samples from the kept columns.  Before each iteration the
+    run halts with ``sample_norm_criterion`` when the rule is ``sample_norm``
+    and ||v|| <= halt_value, with ``residual_zero`` when ||v|| <=
+    RESIDUAL_TOL, or at ``cfg.iteration_cap``; once the proxy y = A'v is
+    formed, the ``proxy_infnorm`` rule halts when max|y| <= halt_value /
+    sqrt(2s).  The report's ``estimate_history`` holds the estimate after
+    each iteration.
     """
     A = as_matrix(A)
     m, d = A.shape
@@ -338,14 +336,8 @@ def cosamp(A, u, cfg, adjoint=None):
             halt = HALT_PROXY_INFNORM
             break
         omega = top_k(y, min(2 * s, d))
-        omega = omega[y[omega] != 0.0]
-        if cur.size + omega.size > m:
-            # outside the recommended regime: keep the fit determined
-            omega = omega[top_k(y[omega], m - cur.size)]
+        omega = _cap_columns(y, omega[y[omega] != 0.0], cur.size, m)
         T = np.union1d(omega, cur).astype(np.intp)
-        if T.size > 3 * s:
-            raise RuntimeError(
-                f"cosamp merged support has {T.size} > 3s={3 * s} columns")
         # the estimate is zero outside T, so pruning T prunes all of it
         b = pseudoinverse_apply(A, T, u, COSAMP_LS, z0=a)
         a = np.zeros(d)

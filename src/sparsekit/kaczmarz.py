@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, extreme_singular_values
+from .linalg import as_count, as_matrix, as_vector, extreme_singular_values
 from .rng import CounterRng, stream_seed
 
 
@@ -56,10 +56,8 @@ def rk_solve(A, b, x0, iters, seed=0, log_stride=1, x_ref=None):
     m, n = A.shape
     b = as_vector(b, m, "b")
     x = as_vector(x0, n, "x0").copy()
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
-    if log_stride < 1:
-        raise ValueError("log_stride must be >= 1")
+    iters = as_count(iters, "iters", low=0)
+    log_stride = as_count(log_stride, "log_stride")
     weights = np.einsum("ij,ij->i", A, A)
     if np.any(weights == 0):
         raise ValueError("matrix has a zero row")

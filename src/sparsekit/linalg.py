@@ -1,9 +1,10 @@
 """Deterministic dense linear algebra kernels.
 
-Input validation, iterative least squares (Richardson and conjugate
-gradient on the normal equations), extreme singular values via
-cyclic Jacobi on the Gram matrix, and magnitude top-k selection.  Everything
-here is a pure function of its inputs; no randomness, no shared state.
+Input validation (counts, matrices, vectors, index sets), iterative least
+squares (Richardson and conjugate gradient on the normal equations), extreme
+singular values via cyclic Jacobi on the Gram matrix, and magnitude top-k
+selection.  Everything here is a pure function of its inputs; no
+randomness, no shared state.
 
 Every kernel checks the entries it reads for finiteness.
 ``pseudoinverse_apply`` reads only its support columns, so it checks only
@@ -42,11 +43,22 @@ class LsConfig:
     def __post_init__(self):
         if self.method not in LS_METHODS:
             raise ValueError(f"unknown least-squares method {self.method!r}")
-        if self.max_iters is not None and not (
-                self.max_iters >= 1 and float(self.max_iters).is_integer()):
-            raise ValueError("max_iters must be a whole number >= 1")
+        if self.max_iters is not None:
+            object.__setattr__(self, "max_iters", as_count(self.max_iters, "max_iters"))
         if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
+
+
+def as_count(value, name, low=1):
+    """``int(value)`` for a whole number >= ``low`` (3.0 passes; NaN, inf and
+    2.5 do not), else ``ValueError``."""
+    try:
+        whole = value >= low and float(value).is_integer()
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be a whole number >= {low}")
+    return int(value)
 
 
 def _as_2d(A):
@@ -98,7 +110,7 @@ def least_squares(A_T, u, z0=None, cfg=None):
     if k == 0:
         return np.zeros(0), 0
     z = np.zeros(k) if z0 is None else as_vector(z0, k, "z0").copy()
-    max_iters = int(cfg.max_iters) if cfg.max_iters is not None else 3 * k
+    max_iters = cfg.max_iters or 3 * k
 
     atu = A_T.T @ u
     target = cfg.tol * np.linalg.norm(atu)
@@ -260,12 +272,11 @@ def top_k(v, k):
     Returned sorted ascending.
     """
     v = as_vector(v)
-    if not (k >= 0 and float(k).is_integer()):
-        raise ValueError("k must be a whole number >= 0")
+    k = as_count(k, "k", low=0)
     if k > v.size:
         raise ValueError(f"k={k} exceeds vector length {v.size}")
     order = np.argsort(-np.abs(v), kind="stable")
-    return np.sort(order[:int(k)])
+    return np.sort(order[:k])
 
 
 def support(x, tol=0.0):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_count, as_matrix
 from .rng import CounterRng, stream_seed, stream_subsets
 
 
@@ -97,7 +97,8 @@ def ric_exact(A, r, cap=ENUMERATION_CAP):
     """Exact restricted isometry constant of order r by full enumeration."""
     A = as_matrix(A)
     d = A.shape[1]
-    if not 1 <= r <= d:
+    r = as_count(r, "order r")
+    if r > d:
         raise ValueError(f"order r={r} out of range for {d} columns")
     n_supports = math.comb(d, r)
     if n_supports > cap:
@@ -121,10 +122,10 @@ def ric_monte_carlo(A, r, trials, seed=0):
     """
     A = as_matrix(A)
     d = A.shape[1]
-    if not 1 <= r <= d:
+    r = as_count(r, "order r")
+    if r > d:
         raise ValueError(f"order r={r} out of range for {d} columns")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = as_count(trials, "trials")
     if math.comb(d, r) <= trials:
         delta, witness, lower, upper = _scan(A, _support_chunks(d, r))
     else:

@@ -51,6 +51,16 @@ class TestGrid:
             with pytest.raises(ValueError, match="d must"):
                 small_grid(d=d)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"d": float("nan")}, {"d": 256.5}, {"trials": 2.5},
+        {"trials": float("nan")}, {"threads": float("nan")}, {"threads": 1.5},
+    ])
+    def test_counts_must_be_whole_numbers(self, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be a whole number >= 1"):
+                small_grid(**kwargs)
+
     @pytest.mark.parametrize("threshold", [-1.0, -1e-12, float("nan")])
     def test_threshold_below_zero_rejected(self, threshold):
         with pytest.raises(ValueError, match="threshold"):
@@ -223,6 +233,11 @@ class TestKaczmarzStudy:
     def test_no_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             bench.run_kaczmarz_study(10, 5, 0, 10, 0.0, 0)
+
+    @pytest.mark.parametrize("trials", [2.5, float("nan")])
+    def test_trials_must_be_a_whole_number(self, trials):
+        with pytest.raises(ValueError, match="trials must be a whole number"):
+            bench.run_kaczmarz_study(10, 5, trials, 10, 0.0, 0)
 
 
 class TestRwBoundsStudy:

@@ -407,7 +407,7 @@ class TestRecover:
         code, out, err = run_cli(capsys, "recover", "--matrix", str(amat),
                                  "--signal", str(sig), "--algo", "omp",
                                  "--s", "-2")
-        assert code == 2 and out == "" and "s must be >= 1" in err
+        assert code == 2 and out == "" and "s must be a whole number >= 1" in err
 
     @pytest.mark.parametrize("level", ["nan", "-1"])
     def test_bad_noise_level_is_exit_2(self, capsys, tmp_path, level):

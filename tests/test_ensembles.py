@@ -60,6 +60,13 @@ class TestMatrices:
         mean_sq = np.mean(np.sum(A**2, axis=0))
         assert 0.8 <= mean_sq <= 1.2
 
+    @pytest.mark.parametrize("rows, cols", [
+        (np.nan, 4), (4, np.nan), (2.5, 4), (4, 2.5), (0, 4), (4, -1),
+    ])
+    def test_shape_must_be_whole_numbers(self, rows, cols):
+        with pytest.raises(ValueError, match="must be a whole number >= 1"):
+            EnsembleSpec("gaussian", rows, cols)
+
     def test_partial_dct_needs_wide_shape(self):
         with pytest.raises(ValueError):
             EnsembleSpec("partial_dct", 10, 5)

@@ -1,8 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from sparsekit import greedy
 from sparsekit.ensembles import (
     EnsembleSpec,
     NoiseSpec,
@@ -76,12 +78,23 @@ class TestOmp:
 
     @pytest.mark.parametrize("s", [0, -2])
     def test_sparsity_below_one_rejected(self, s):
-        with pytest.raises(ValueError, match="s must be >= 1"):
+        with pytest.raises(ValueError, match="s must be a whole number >= 1"):
             omp(np.eye(4), np.ones(4), s)
 
     def test_sparsity_exceeds_measurements(self):
-        with pytest.raises(ValueError):
-            omp(np.eye(3), np.ones(3), 4)
+        # a fit is determined on at most m columns, so s > m runs m rounds
+        rep = omp(np.eye(3), np.ones(3), 4)
+        assert rep.iterations == 3 and list(rep.support) == [0, 1, 2]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparsity_past_m_matches_s_equal_m(self, seed):
+        A = gen_matrix(EnsembleSpec("gaussian", 12, 40, seed=seed))
+        u = CounterRng(stream_seed("omp-cap", seed)).normal(12) * 1e3
+        capped, full = omp(A, u, 30), omp(A, u, 12)
+        assert capped.estimate.tobytes() == full.estimate.tobytes()
+        assert np.array_equal(capped.support, full.support)
+        assert capped.residual_history == full.residual_history
+        assert capped.halt_reason == full.halt_reason
 
     def test_zero_samples(self):
         rep = omp(np.eye(4), np.zeros(4), 2)
@@ -104,7 +117,7 @@ class TestStomp:
         assert rep.iterations == 1
         assert rep.halt_reason == "proxy_infnorm_criterion"
 
-    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
     def test_threshold_must_be_positive(self, t):
         with pytest.raises(ValueError, match="t must be > 0"):
             StompConfig(t=t)
@@ -374,6 +387,115 @@ def test_non_finite_matrix_rejected_on_entry(solve, where):
     A[where] = np.nan
     with pytest.raises(ValueError, match="finite"):
         solve(A, u)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: StompConfig(max_stages=np.nan),
+    lambda: StompConfig(max_stages=2.5),
+    lambda: CosampConfig(np.nan),
+    lambda: CosampConfig(2.5),
+    lambda: omp(np.eye(4), np.ones(4), 2.5),
+    lambda: romp(np.eye(4), np.ones(4), 2.5),
+    lambda: prune(np.ones(4), -1),
+    lambda: prune(np.ones(4), np.nan),
+], ids=["stomp-nan", "stomp-half", "cosamp-nan", "cosamp-half", "omp-half",
+        "romp-half", "prune-negative", "prune-nan"])
+def test_counts_must_be_whole_numbers(make):
+    with pytest.raises(ValueError, match="must be a whole number >="):
+        make()
+
+
+class TestColumnCap:
+    """Every greedy fit stops at m columns: a stage whose candidates would
+    pass m keeps its largest-magnitude proxy entries, ties to the smaller
+    index."""
+
+    def test_keeps_largest_proxy_entries_ties_to_smaller_index(self):
+        y = np.array([0.0, -3.0, 1.0, 3.0, 2.0, -2.0])
+        J = np.array([1, 2, 3, 4, 5])
+        assert list(greedy._cap_columns(y, J, 3, 6)) == [1, 3, 4]
+        assert greedy._cap_columns(y, J, 1, 6) is J
+
+    @pytest.mark.parametrize("solve", [
+        lambda A, u: stomp(A, u, StompConfig(t=0.5, max_stages=6)),
+        lambda A, u: romp(A, u, 5),
+        lambda A, u: cosamp(A, u, CosampConfig(
+            4, halting="fixed_iterations", max_iters=6)),
+    ], ids=["stomp", "romp", "cosamp"])
+    def test_fit_never_passes_m_columns(self, solve, monkeypatch):
+        fits, cuts = [], []
+        fit, cap = greedy.pseudoinverse_apply, greedy._cap_columns
+
+        def spy_fit(A, T, u, *args, **kwargs):
+            fits.append(len(T))
+            return fit(A, T, u, *args, **kwargs)
+
+        def spy_cap(y, J, held, m):
+            kept = cap(y, J, held, m)
+            cuts.append(kept.size < J.size)
+            return kept
+
+        monkeypatch.setattr(greedy, "pseudoinverse_apply", spy_fit)
+        monkeypatch.setattr(greedy, "_cap_columns", spy_cap)
+        for seed in range(4):
+            A = gen_matrix(EnsembleSpec("gaussian", 9, 40, seed=seed))
+            u = CounterRng(stream_seed("column-cap", seed)).normal(9)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                rep = solve(A, u)
+            assert rep.support.size <= 9
+        assert max(fits) == 9 and any(cuts)
+
+    def test_romp_cut_takes_the_smaller_index_of_a_tie(self):
+        # round 1 fits columns 0-2; round 2's proxy ties columns 3 and 7,
+        # and one more column fits
+        A = np.hstack([np.eye(4), np.eye(4)])
+        with pytest.warns(UserWarning, match="2s=6 > m=4"):
+            rep = romp(A, np.array([3.0, 3.0, 3.0, 1.0]), 3)
+        assert [list(J) for J in rep.selection_history] == [[0, 1, 2], [3]]
+        assert list(rep.support) == [0, 1, 2, 3]
+
+    def test_cosamp_cut_keeps_the_largest_proxy_entries(self):
+        # the oracle re-derives each merged support from the estimates
+        m, s = 7, 3
+        A = gen_matrix(EnsembleSpec("gaussian", m, 30, seed=5))
+        u = CounterRng(31).normal(m)
+        merged = []
+        fit = greedy.pseudoinverse_apply
+
+        def spy_fit(A, T, u, *args, **kwargs):
+            merged.append(list(T))
+            return fit(A, T, u, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(greedy, "pseudoinverse_apply", spy_fit)
+            with pytest.warns(UserWarning, match="4s=12 > m=7"):
+                rep = cosamp(A, u, CosampConfig(
+                    s, halting="fixed_iterations", max_iters=5))
+        a, bound = np.zeros(30), 0
+        for T, nxt in zip(merged, rep.estimate_history):
+            cur = np.flatnonzero(a)
+            y = A.T @ (u - A @ a)
+            order = sorted(range(30), key=lambda j: (-abs(y[j]), j))
+            omega = [j for j in order[:2 * s] if y[j] != 0.0]
+            if len(cur) + len(omega) > m:
+                omega = order[:m - len(cur)]
+                bound += 1
+            assert T == sorted(set(omega) | set(cur))
+            a = nxt
+        assert bound >= 1 and max(map(len, merged)) <= m
+
+    def test_cosamp_warns_outside_regime(self):
+        with pytest.warns(UserWarning, match="outside the recommended"):
+            cosamp(np.eye(4), np.ones(4), CosampConfig(2))
+
+    def test_romp_halts_on_an_empty_proxy(self):
+        # the residual (0, 0, 1) is orthogonal to both columns
+        A = np.eye(3)[:, :2]
+        with pytest.warns(UserWarning):
+            rep = romp(A, np.ones(3), 2)
+        assert rep.halt_reason == "proxy_infnorm_criterion"
+        assert rep.iterations == 1 and list(rep.support) == [0, 1]
 
 
 class TestPrune:

@@ -102,6 +102,16 @@ class TestSolve:
             rk_solve(np.eye(3), np.ones(3), np.zeros(3), 10, log_stride=stride,
                      x_ref=np.zeros(3))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"iters": 2.5}, {"iters": np.nan}, {"iters": -1},
+        {"log_stride": np.nan}, {"log_stride": 2.5},
+    ])
+    def test_counts_must_be_whole_numbers(self, kwargs):
+        args = {"iters": 10, "log_stride": 1, **kwargs}
+        with pytest.raises(ValueError, match="must be a whole number >="):
+            rk_solve(np.eye(3), np.ones(3), np.zeros(3), args["iters"],
+                     log_stride=args["log_stride"], x_ref=np.zeros(3))
+
     def test_seeded_determinism(self):
         A = CounterRng(11).normal(60).reshape(12, 5)
         b = CounterRng(12).normal(12)

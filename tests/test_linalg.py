@@ -7,6 +7,7 @@ from sparsekit.linalg import (
     JacobiSweepCapError,
     LsConfig,
     _jacobi_eigenvalues,
+    as_count,
     extreme_singular_values,
     least_squares,
     pseudoinverse_apply,
@@ -187,6 +188,24 @@ class TestExtremeSingularValues:
         A = CounterRng(17).normal(18).reshape(6, 3) * 1e160
         with pytest.raises(ValueError, match="overflow"):
             extreme_singular_values(A)
+
+
+class TestAsCount:
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float32(3.0)])
+    def test_whole_numbers_become_int(self, value):
+        n = as_count(value, "n")
+        assert n == 3 and type(n) is int
+
+    @pytest.mark.parametrize("value", [2.5, np.nan, np.inf, -np.inf, "3",
+                                       None, np.ones(2), 0, -1])
+    def test_everything_else_is_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match="^n must be a whole number >= 1$"):
+            as_count(value, "n")
+
+    def test_low_bound(self):
+        assert as_count(0, "k", low=0) == 0
+        with pytest.raises(ValueError, match="k must be a whole number >= 0"):
+            as_count(-1, "k", low=0)
 
 
 class TestTopK:

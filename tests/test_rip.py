@@ -95,6 +95,27 @@ class TestRicMonteCarlo:
                 for t in (5, 20, 80, 200)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("trials", [2.5, np.nan, 0])
+    def test_trials_must_be_a_whole_number(self, trials):
+        A = gen_matrix(EnsembleSpec("gaussian", 6, 10, seed=12))
+        with pytest.raises(ValueError, match="trials must be a whole number"):
+            ric_monte_carlo(A, 2, trials=trials)
+
+    @pytest.mark.parametrize("solve", [
+        lambda A, r: ric_exact(A, r),
+        lambda A, r: ric_monte_carlo(A, r, trials=5),
+    ], ids=["exact", "monte_carlo"])
+    @pytest.mark.parametrize("r", [2.5, np.nan, 0])
+    def test_order_must_be_a_whole_number(self, solve, r):
+        A = gen_matrix(EnsembleSpec("gaussian", 6, 10, seed=12))
+        with pytest.raises(ValueError, match="order r must be a whole number"):
+            solve(A, r)
+
+    def test_order_past_d_is_out_of_range(self):
+        A = gen_matrix(EnsembleSpec("gaussian", 6, 10, seed=12))
+        with pytest.raises(ValueError, match="order r=11 out of range"):
+            ric_exact(A, 11)
+
     def test_lower_bounds_exact(self):
         A = gen_matrix(EnsembleSpec("gaussian", 10, 14, seed=11))
         exact = ric_exact(A, 3).delta
