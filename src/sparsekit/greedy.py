@@ -182,9 +182,10 @@ def omp(A, u, s, adjoint=None):
     I = np.zeros(0, dtype=np.intp)
     x_hat = np.zeros(d)
     r = u.copy()
+    rnorm = float(np.linalg.norm(r))
     history = []
     for _ in range(s):
-        if np.linalg.norm(r) <= RESIDUAL_TOL:
+        if rnorm <= RESIDUAL_TOL:
             break
         y = np.abs(A.T @ r if adjoint is None else adjoint(r))
         y[I] = -1.0
@@ -192,9 +193,9 @@ def omp(A, u, s, adjoint=None):
         I = np.sort(np.append(I, lam))
         x_hat = pseudoinverse_apply(A, I, u)
         r = u - A[:, I] @ x_hat[I]
-        history.append(float(np.linalg.norm(r)))
-    halt = (HALT_RESIDUAL_ZERO if np.linalg.norm(r) <= RESIDUAL_TOL
-            else HALT_MAX_ITERATIONS)
+        rnorm = float(np.linalg.norm(r))
+        history.append(rnorm)
+    halt = HALT_RESIDUAL_ZERO if rnorm <= RESIDUAL_TOL else HALT_MAX_ITERATIONS
     return RecoveryReport(x_hat, I, len(history), history, halt)
 
 
@@ -211,6 +212,7 @@ def stomp(A, u, cfg=None, adjoint=None):
     I = np.zeros(0, dtype=np.intp)
     x_hat = np.zeros(d)
     r = u.copy()
+    rnorm = float(np.linalg.norm(r))
     history = []
     halt = HALT_MAX_ITERATIONS
     stages = 0
@@ -218,7 +220,7 @@ def stomp(A, u, cfg=None, adjoint=None):
         stages += 1
         y = A.T @ r if adjoint is None else adjoint(r)
         y[I] = 0.0
-        sigma = np.linalg.norm(r) / np.sqrt(m)
+        sigma = rnorm / np.sqrt(m)
         J = np.flatnonzero(np.abs(y) > cfg.t * sigma)
         if J.size == 0:
             halt = HALT_PROXY_INFNORM
@@ -227,8 +229,9 @@ def stomp(A, u, cfg=None, adjoint=None):
         I = np.union1d(I, J).astype(np.intp)
         x_hat = pseudoinverse_apply(A, I, u)
         r = u - A @ x_hat
-        history.append(float(np.linalg.norm(r)))
-        if np.linalg.norm(r) <= RESIDUAL_TOL:
+        rnorm = float(np.linalg.norm(r))
+        history.append(rnorm)
+        if rnorm <= RESIDUAL_TOL:
             halt = HALT_RESIDUAL_ZERO
             break
         if I.size >= m:
@@ -257,11 +260,12 @@ def romp(A, u, s, adjoint=None):
     I = np.zeros(0, dtype=np.intp)
     x_hat = np.zeros(d)
     r = u.copy()
+    rnorm = float(np.linalg.norm(r))
     history = []
     selections = []
     it = 0
     while True:
-        if np.linalg.norm(r) <= ROMP_RESIDUAL_TOL:
+        if rnorm <= ROMP_RESIDUAL_TOL:
             halt = HALT_RESIDUAL_ZERO
             break
         if I.size >= 2 * s:
@@ -283,7 +287,8 @@ def romp(A, u, s, adjoint=None):
         x_hat = pseudoinverse_apply(A, I, u)
         r = u - A[:, I] @ x_hat[I]
         it += 1
-        history.append(float(np.linalg.norm(r)))
+        rnorm = float(np.linalg.norm(r))
+        history.append(rnorm)
         selections.append(J0)
     return RecoveryReport(x_hat, I, it, history, halt,
                           selection_history=selections)
@@ -319,8 +324,8 @@ def cosamp(A, u, cfg, adjoint=None):
     estimates = []
     cap = cfg.iteration_cap
     it = 0
+    vnorm = float(np.linalg.norm(v))
     while True:
-        vnorm = float(np.linalg.norm(v))
         if cfg.halting == "sample_norm" and vnorm <= cfg.halt_value:
             halt = HALT_SAMPLE_NORM
             break
@@ -345,7 +350,8 @@ def cosamp(A, u, cfg, adjoint=None):
         cur = support(a)
         v = u - A[:, cur] @ a[cur]
         it += 1
-        history.append(float(np.linalg.norm(v)))
+        vnorm = float(np.linalg.norm(v))
+        history.append(vnorm)
         estimates.append(a.copy())
     return RecoveryReport(a, cur, it, history, halt,
                           estimate_history=estimates)

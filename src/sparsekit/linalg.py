@@ -14,6 +14,7 @@ matrix once up front.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -61,6 +62,11 @@ def as_count(value, name, low=1):
     return int(value)
 
 
+_DEFAULT_LS = LsConfig()
+_TINY = np.finfo(float).tiny
+_CG_ROWS = 64       # rows of the conjugate-gradient step buffer
+
+
 def _as_2d(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -90,7 +96,7 @@ def as_index_set(indices, d):
     if idx.size:
         if idx[0] < 0 or idx[-1] >= d:
             raise IndexError(f"index out of range for {d} columns")
-        if np.any(np.diff(idx) <= 0):
+        if (idx[1:] <= idx[:-1]).any():
             raise ValueError("index set must be strictly increasing")
     return idx
 
@@ -102,20 +108,29 @@ def least_squares(A_T, u, z0=None, cfg=None):
     conjugate gradient runs on the normal equations.  Stops when the
     relative normal-equation residual drops below ``cfg.tol`` or after
     ``cfg.max_iters`` updates.  Returns (z, iterations_used).
+
+    The greedy benchmark references are byte-exact and every greedy fit
+    runs through conjugate gradient, so it takes the same IEEE operations
+    in the same order as the kernel first written (kept frozen in the
+    tests as ``cgnr_reference``).  Work vectors written in place, and the
+    updates of z added a block at a time by one accumulate, only cut the
+    per-iteration overhead.  A cold start (``z0=None``) skips the matvec
+    with z = 0: its residual is u and its first A_T' r is A_T' u.
     """
     A_T = as_matrix(A_T)
     m, k = A_T.shape
     u = as_vector(u, m, "u")
-    cfg = cfg or LsConfig()
+    cfg = cfg or _DEFAULT_LS
     if k == 0:
         return np.zeros(0), 0
-    z = np.zeros(k) if z0 is None else as_vector(z0, k, "z0").copy()
+    z = None if z0 is None else as_vector(z0, k, "z0")
     max_iters = cfg.max_iters or 3 * k
 
     atu = A_T.T @ u
-    target = cfg.tol * np.linalg.norm(atu)
+    target = cfg.tol * math.sqrt(atu.dot(atu))
 
     if cfg.method == "richardson":
+        z = np.zeros(k) if z is None else z
         return _richardson(A_T, u, z, atu, target, max_iters)
     return _cgnr(A_T, u, z, atu, target, max_iters)
 
@@ -130,7 +145,7 @@ def _richardson(A_T, u, z, atu, target, max_iters):
         res = np.linalg.norm(gram_z - atu)
         if res <= target:
             return z, it
-        if res > 10.0 * max(res0, np.finfo(float).tiny):
+        if res > 10.0 * max(res0, _TINY):
             raise DivergenceError(
                 "Richardson iteration diverged; the restricted Gram matrix "
                 "is not close enough to the identity"
@@ -139,26 +154,67 @@ def _richardson(A_T, u, z, atu, target, max_iters):
 
 
 def _cgnr(A_T, u, z, atu, target, max_iters):
-    r = u - A_T @ z
-    s = A_T.T @ r
-    p = s.copy()
-    gamma = float(s @ s)
-    tiny = np.finfo(float).tiny
-    for it in range(1, max_iters + 1):
-        q = A_T @ p
-        qq = float(q @ q)
-        if qq <= tiny:
-            return z, it - 1
-        alpha = gamma / qq
-        z = z + alpha * p
-        r = r - alpha * q
+    m, k = A_T.shape
+    # z is (z0 + alpha_1 p_1) + alpha_2 p_2 + ...  Row 0 of P holds the sum so
+    # far and rows 1.. the directions since, so one product and one
+    # accumulate (left to right, as the loop would add) bring z up to date
+    # when P is full and at the end, in place of two calls per iteration
+    P = np.empty((_CG_ROWS, k))
+    if z is None:
+        P[0] = 0.0
+        r, s = u.copy(), atu
+    else:
+        P[0] = z
+        r = u - A_T @ z
         s = A_T.T @ r
-        gamma_new = float(s @ s)
-        if np.sqrt(gamma_new) <= target:
-            return z, it
-        p = s + (gamma_new / gamma) * p
-        gamma = gamma_new
-    return z, max_iters
+    if A_T.flags.forc:
+        # the BLAS call that `@` makes on a C- or F-ordered block
+        matvec, rmatvec = A_T.dot, A_T.T.dot
+    else:
+        # `@` may sum a strided block in its own loop, where dot would copy
+        # it for BLAS and round otherwise
+        matvec, rmatvec = partial(np.matmul, A_T), partial(np.matmul, A_T.T)
+    n, p = 1, P[1]                      # p is row n
+    p[:] = s
+    q, step = np.empty(m), np.empty(m)
+    alphas = []
+    gamma = s.dot(s)
+    # bound and local names, and out as a positional argument, because the
+    # call overhead is most of the cost at these lengths
+    mul, add, sub = np.multiply, np.add, np.subtract
+    it = 0
+    while it < max_iters:
+        matvec(p, q)
+        qq = q.dot(q)
+        if qq <= _TINY:
+            break
+        it += 1
+        alpha = gamma / qq
+        alphas.append(alpha)
+        mul(q, alpha, step)             # r <- r - alpha q
+        sub(r, step, r)
+        rmatvec(r, s)
+        gamma_new = s.dot(s)
+        if math.sqrt(gamma_new) <= target:
+            break
+        if n == _CG_ROWS - 1:           # add all but p into row 0
+            _add_steps(P, alphas[:-1])
+            P[1] = p
+            n, p, alphas = 1, P[1], alphas[-1:]
+        n += 1                          # p <- s + (gamma_new / gamma) p
+        p_next = P[n]
+        mul(p, gamma_new / gamma, p_next)
+        add(s, p_next, p_next)
+        p, gamma = p_next, gamma_new
+    _add_steps(P, alphas)
+    return P[0].copy(), it
+
+
+def _add_steps(P, alphas):
+    """Row 0 of P plus alphas[i-1] times row i, added in row order, into row 0."""
+    steps = P[:len(alphas) + 1]
+    np.multiply(steps[1:], np.array(alphas)[:, None], steps[1:])
+    P[0] = np.add.accumulate(steps, axis=0, out=steps)[-1]
 
 
 def pseudoinverse_apply(A, T, u, cfg=None, z0=None):

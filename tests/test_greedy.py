@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsekit import greedy
+from sparsekit import greedy, linalg
 from sparsekit.ensembles import (
     EnsembleSpec,
     NoiseSpec,
@@ -387,6 +387,37 @@ def test_non_finite_matrix_rejected_on_entry(solve, where):
     A[where] = np.nan
     with pytest.raises(ValueError, match="finite"):
         solve(A, u)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda A, u: omp(A, u, 6),
+    lambda A, u: stomp(A, u, StompConfig(t=1.5)),
+    lambda A, u: romp(A, u, 6),
+    lambda A, u: cosamp(A, u, CosampConfig(4, max_iters=8)),
+], ids=["omp", "stomp", "romp", "cosamp"])
+def test_every_fit_is_one_least_squares_call(solve, monkeypatch):
+    # a tracer counts fits and CG iterations through these two attributes
+    fits, solves = [], []
+    fit, ls = greedy.pseudoinverse_apply, linalg.least_squares
+
+    def spy_fit(A, T, u, *args, **kwargs):
+        fits.append(len(T))
+        return fit(A, T, u, *args, **kwargs)
+
+    def spy_ls(A_T, *args, **kwargs):
+        out = ls(A_T, *args, **kwargs)
+        solves.append((A_T.shape[1], out))
+        return out
+
+    monkeypatch.setattr(greedy, "pseudoinverse_apply", spy_fit)
+    monkeypatch.setattr(linalg, "least_squares", spy_ls)
+    A = gen_matrix(EnsembleSpec("gaussian", 32, 64, seed=30))
+    u = A @ gen_signal(SignalSpec(64, 4, seed=31)) + 0.01 * CounterRng(32).normal(32)
+    solve(A, u)
+    assert len(solves) == sum(k > 0 for k in fits) > 1
+    for k, out in solves:
+        z, its = out
+        assert z.shape == (k,) and type(its) is int and its >= 0
 
 
 @pytest.mark.parametrize("make", [

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from sparsekit import linalg
 from sparsekit.ensembles import EnsembleSpec, gen_matrix
+from sparsekit.greedy import COSAMP_LS
 from sparsekit.linalg import (
     DivergenceError,
     JacobiSweepCapError,
@@ -49,6 +51,25 @@ class TestLeastSquares:
         z, its = least_squares(np.zeros((3, 0)), [1.0, 2.0, 3.0])
         assert z.size == 0 and its == 0
 
+    @pytest.mark.parametrize("A, T, u", [
+        (CounterRng(17).normal(24).reshape(4, 6), [1, 3], np.zeros(4)),
+        (np.array([[1.0], [0.0]]), [0], np.array([0.0, 1.0])),
+    ], ids=["zero-u", "u-orthogonal-to-range"])
+    def test_zero_normal_residual_returns_zeros(self, A, T, u, monkeypatch):
+        # A_T'u = 0 leaves CG no direction: the first |A_T p|^2 is 0
+        z, its = least_squares(A[:, T], u)
+        assert its == 0 and z.tobytes() == np.zeros(len(T)).tobytes()
+        counts, ls = [], linalg.least_squares
+
+        def spy_ls(*args):
+            z, its = ls(*args)
+            counts.append(its)
+            return z, its
+
+        monkeypatch.setattr(linalg, "least_squares", spy_ls)
+        x = pseudoinverse_apply(A, T, u)
+        assert x.tobytes() == np.zeros(A.shape[1]).tobytes() and counts == [0]
+
     @pytest.mark.parametrize("method", ["richardson", "conjugate_gradient"])
     def test_matches_direct_solve(self, method):
         A = near_identity_columns(20, 5, 0.02, seed=6)
@@ -89,6 +110,104 @@ class TestLeastSquares:
                     A, u, cfg=LsConfig("richardson", max_iters=ell, tol=0.0))
                 err = np.linalg.norm(z - z_star)
                 assert err <= 0.1**ell * err0 * (1 + 1e-6)
+
+
+def cgnr_reference(A_T, u, z0=None, cfg=None):
+    """Conjugate-gradient ``least_squares`` as first written, kept frozen.
+
+    ``least_squares`` must return the same bytes and iteration count: the
+    greedy benchmark references pin every estimate, and every greedy fit
+    goes through this kernel.
+    """
+    A_T = np.asarray(A_T, dtype=float)
+    m, k = A_T.shape
+    u = np.asarray(u, dtype=float).reshape(-1)
+    cfg = cfg or LsConfig()
+    z = np.zeros(k) if z0 is None else np.asarray(z0, dtype=float).copy()
+    max_iters = cfg.max_iters or 3 * k
+    atu = A_T.T @ u
+    target = cfg.tol * np.linalg.norm(atu)
+    r = u - A_T @ z
+    s = A_T.T @ r
+    p = s.copy()
+    gamma = float(s @ s)
+    tiny = np.finfo(float).tiny
+    for it in range(1, max_iters + 1):
+        q = A_T @ p
+        qq = float(q @ q)
+        if qq <= tiny:
+            return z, it - 1
+        alpha = gamma / qq
+        z = z + alpha * p
+        r = r - alpha * q
+        s = A_T.T @ r
+        gamma_new = float(s @ s)
+        if np.sqrt(gamma_new) <= target:
+            return z, it
+        p = s + (gamma_new / gamma) * p
+        gamma = gamma_new
+    return z, max_iters
+
+
+def cgnr_battery():
+    """Seeded least-squares inputs: (label, A_T, u, z0, cfg) tuples."""
+    rng = CounterRng(stream_seed(20, "cgnr-battery"))
+    configs = (("default", None), ("cosamp", COSAMP_LS),
+               ("tol0", LsConfig(tol=0.0)), ("one-step", LsConfig(max_iters=1)))
+    cases = []
+    for m, k in ((8, 1), (8, 8), (64, 5), (64, 64), (128, 16), (512, 1),
+                 (512, 40)):
+        A_T = rng.normal(m * k).reshape(m, k) / np.sqrt(m)
+        u = rng.normal(m)
+        z0 = rng.normal(k)
+        for name, cfg in configs:
+            cases.append((f"m{m}-k{k}-{name}-cold", A_T, u, None, cfg))
+            cases.append((f"m{m}-k{k}-{name}-warm", A_T, u, z0, cfg))
+        cases.append((f"m{m}-k{k}-warm-zero", A_T, u, np.zeros(k), None))
+    A_T = rng.normal(512 * 512).reshape(512, 512) / np.sqrt(512)
+    cases.append(("m512-k512-cold", A_T, rng.normal(512), None, None))
+    # the cold start takes r = u itself where the frozen kernel forms
+    # u - A_T 0, which must not move a bit of z
+    A_T = rng.normal(48).reshape(12, 4)
+    u = rng.normal(12)
+    u[[0, 5, 11]] = -0.0
+    cases.append(("negative-zeros", A_T, u, None, None))
+    cases.append(("all-negative-zero", A_T, np.full(12, -0.0), None, None))
+    # six columns spanning three dimensions
+    X = rng.normal(60).reshape(20, 3)
+    A_T = np.hstack([X, X @ rng.normal(9).reshape(3, 3)])
+    for name, cfg in configs:
+        cases.append((f"rank-deficient-{name}", A_T, rng.normal(20), None, cfg))
+    # column blocks laid out as a caller might pass them
+    A = rng.normal(30 * 16).reshape(30, 16)
+    cases.append(("fortran-order", np.asfortranarray(A[:, :6]), rng.normal(30),
+                  None, None))
+    cases.append(("column-slice", A[:, 2:9], rng.normal(30), None, None))
+    cases.append(("strided-view", A[:, ::3], rng.normal(30), rng.normal(6), None))
+    cases.append(("one-row", A[:1, :3], rng.normal(1), None, None))
+    cases.append(("no-rows", np.zeros((0, 3)), np.zeros(0), None, None))
+    # a cap far past any run must not size an allocation
+    cases.append(("huge-cap", A[:, :4].copy(), rng.normal(30), None,
+                  LsConfig(max_iters=10**12)))
+    return cases
+
+
+CGNR_BATTERY = cgnr_battery()
+
+
+class TestConjugateGradientBytes:
+    @pytest.mark.parametrize("label, A_T, u, z0, cfg", CGNR_BATTERY,
+                             ids=[case[0] for case in CGNR_BATTERY])
+    def test_same_bytes_as_reference(self, label, A_T, u, z0, cfg):
+        def inputs():
+            return [a.tobytes() for a in (A_T, u, z0) if a is not None]
+
+        before = inputs()
+        z, its = least_squares(A_T, u, z0, cfg)
+        z_ref, its_ref = cgnr_reference(A_T, u, z0, cfg)
+        assert its == its_ref and z.tobytes() == z_ref.tobytes()
+        # the kernel works in its own buffers, never in the caller's arrays
+        assert inputs() == before
 
 
 class TestPseudoinverseApply:
