@@ -302,6 +302,8 @@ def run_rw_bounds(mu, eps_list, delta_list, tol=1e-3):
     limit, per (eps, delta) cell; hypothesis-violating cells are marked."""
     if np.isnan(mu):
         raise ValueError("mu must not be NaN")
+    if np.isnan(delta_list).any():
+        raise ValueError("no delta may be NaN")
     if not tol > 0:
         raise ValueError("tol must be > 0")
     if not all(eps >= 0 for eps in eps_list):

@@ -15,6 +15,7 @@ import numpy as np
 from . import bench, ensembles
 from .bench import ExperimentGrid, rows_to_csv, rows_to_jsonl
 from .ensembles import EnsembleSpec, NoiseSpec, gen_matrix, gen_noise, load_csv
+from .linalg import as_count
 from .rip import ENUMERATION_CAP, EnumerationCapError, ric_exact, ric_monte_carlo
 from .rng import stream_seed
 
@@ -274,7 +275,9 @@ def _run_recover(args):
     x = np.asarray(x).reshape(-1)
     if x.size != A.shape[1]:
         raise ValueError("signal length does not match matrix columns")
-    s = args.s if args.s is not None else int(np.count_nonzero(x))
+    # bp, stomp and rwl1 never read s, so a bad --s is rejected here
+    s = (as_count(args.s, "s") if args.s is not None
+         else int(np.count_nonzero(x)))
     u = A @ x
     e_norm = 0.0
     if args.noise_norm != 0:

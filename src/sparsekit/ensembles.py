@@ -40,9 +40,9 @@ from .rng import CounterRng, stream_seed
 
 FAMILIES = ("gaussian", "bernoulli", "partial_dct")
 SIGNAL_KINDS = ("flat", "compressible")
-# largest full DCT kept between calls (d <= 1024), the same 8 MB that
-# rip.DRAW_KEYS allows a batch of draws: one cached matrix stays a small
-# share of a run's memory, and a larger d builds only its drawn rows
+# largest full DCT kept between calls (d <= 1024, 8 MB): one cached matrix
+# stays a small share of a run's memory, and a larger d builds only its
+# drawn rows
 DCT_CACHE_BYTES = 8 * 2**20
 
 

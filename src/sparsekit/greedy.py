@@ -341,7 +341,10 @@ def cosamp(A, u, cfg, adjoint=None):
             halt = HALT_PROXY_INFNORM
             break
         omega = top_k(y, min(2 * s, d))
-        omega = _cap_columns(y, omega[y[omega] != 0.0], cur.size, m)
+        omega = omega[y[omega] != 0.0]
+        if omega.size + cur.size > m:  # only new columns count toward m
+            omega = _cap_columns(
+                y, np.setdiff1d(omega, cur, assume_unique=True), cur.size, m)
         T = np.union1d(omega, cur).astype(np.intp)
         # the estimate is zero outside T, so pruning T prunes all of it
         b = pseudoinverse_apply(A, T, u, COSAMP_LS, z0=a)

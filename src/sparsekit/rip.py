@@ -5,6 +5,11 @@ The constant of order r is the smallest delta with
 i.e. the worst deviation of any r-column Gram spectrum from 1.  Exact mode
 enumerates supports lexicographically (feasible at desk scale only);
 Monte-Carlo mode samples supports and reports a lower bound.
+
+Both scan b = max(1, BATCH_BYTES // (8 max(d, r max(m, r)))) supports at a
+time, so a batch's columns, Gram matrices and raw keys each fit the budget
+whatever d, m, r and the trial count.  Each spectrum is computed on its own
+and the first maximiser is kept, so b never changes a result.
 """
 
 import itertools
@@ -14,15 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_count, as_matrix
-from .rng import CounterRng, stream_seed, stream_subsets
+from .rng import BATCH_BYTES, CounterRng, stream_seed, stream_subsets
 
 
-# supports scanned per eigvalsh batch, and the default enumeration cap
-CHUNK = 4096
 ENUMERATION_CAP = 2_000_000
-# raw keys drawn at once for sampled supports (8 MB of uint64): a large d
-# shrinks the batch rather than growing the key array
-DRAW_KEYS = 1 << 20
 
 
 class EnumerationCapError(RuntimeError):
@@ -46,26 +46,23 @@ class ConsequenceCheck:
     worst_ratio: float             # max over battery of lhs / rhs
 
 
-def _support_chunks(d, r):
+def _batch(m, d, r):
+    """Supports per scan batch (see the module docstring)."""
+    return max(1, BATCH_BYTES // (8 * max(d, r * max(m, r))))
+
+
+def _support_chunks(d, r, b):
     it = itertools.combinations(range(d), r)
-    while True:
-        block = list(itertools.islice(it, CHUNK))
-        if not block:
-            return
+    while block := list(itertools.islice(it, b)):
         yield np.asarray(block, dtype=np.intp)
 
 
-def _sampled_chunks(d, r, trials, prefix):
+def _sampled_chunks(d, r, trials, prefix, b):
     """Supports t = 0 .. trials-1, each ``CounterRng(stream_seed(seed, "ric",
     t)).subset(d, r)`` for ``prefix = stream_seed(seed, "ric")``, in blocks
-    of CHUNK; at most DRAW_KEYS raw keys (or one row of d) are held at
-    once."""
-    batch = max(1, DRAW_KEYS // d)
-    for start in range(0, trials, CHUNK):
-        stop = min(start + CHUNK, trials)
-        yield np.concatenate([
-            stream_subsets(prefix, np.arange(lo, min(lo + batch, stop)), d, r)
-            for lo in range(start, stop, batch)])
+    of b."""
+    for lo in range(0, trials, b):
+        yield stream_subsets(prefix, np.arange(lo, min(lo + b, trials)), d, r)
 
 
 def _gram_extremes(A, supports):
@@ -96,7 +93,7 @@ def _scan(A, support_iter):
 def ric_exact(A, r, cap=ENUMERATION_CAP):
     """Exact restricted isometry constant of order r by full enumeration."""
     A = as_matrix(A)
-    d = A.shape[1]
+    m, d = A.shape
     r = as_count(r, "order r")
     if r > d:
         raise ValueError(f"order r={r} out of range for {d} columns")
@@ -106,7 +103,8 @@ def ric_exact(A, r, cap=ENUMERATION_CAP):
             f"C({d},{r}) = {n_supports} supports exceeds cap {cap}; "
             "use ric_monte_carlo for a sampled lower bound"
         )
-    delta, witness, lower, upper = _scan(A, _support_chunks(d, r))
+    delta, witness, lower, upper = _scan(
+        A, _support_chunks(d, r, _batch(m, d, r)))
     return RicReport(r, max(delta, 0.0), "exact", witness, lower, upper)
 
 
@@ -121,16 +119,17 @@ def ric_monte_carlo(A, r, trials, seed=0):
     coverage (trials >= C(d, r)) falls back to enumeration.
     """
     A = as_matrix(A)
-    d = A.shape[1]
+    m, d = A.shape
     r = as_count(r, "order r")
     if r > d:
         raise ValueError(f"order r={r} out of range for {d} columns")
     trials = as_count(trials, "trials")
+    b = _batch(m, d, r)
     if math.comb(d, r) <= trials:
-        delta, witness, lower, upper = _scan(A, _support_chunks(d, r))
+        chunks = _support_chunks(d, r, b)
     else:
-        delta, witness, lower, upper = _scan(
-            A, _sampled_chunks(d, r, trials, stream_seed(seed, "ric")))
+        chunks = _sampled_chunks(d, r, trials, stream_seed(seed, "ric"), b)
+    delta, witness, lower, upper = _scan(A, chunks)
     return RicReport(r, max(delta, 0.0), "monte_carlo", witness, lower, upper, trials)
 
 

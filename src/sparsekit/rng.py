@@ -13,6 +13,10 @@ import numpy as np
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _INIT = 0x243F6A8885A308D3
+# working bytes of one batch of a large draw (Gaussian pairs here, scanned
+# supports in rip): a larger request runs in more batches, never in larger
+# ones, and every batch size gives the same values
+BATCH_BYTES = 2 << 20
 
 _GAMMA_U = np.uint64(_GAMMA)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -71,22 +75,40 @@ class CounterRng:
 
     def uniform(self, n):
         """``n`` doubles in the open interval (0, 1)."""
-        return ((self.raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        u = (self.raw(n) >> np.uint64(11)).astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        return u
 
     def normal(self, n):
         """``n`` standard normal draws via Box-Muller on the counter stream.
 
         Pairs (cos, sin) are interleaved: even outputs use the cosine branch,
-        odd outputs the sine branch of the same uniform pair.
+        odd outputs the sine branch of the same uniform pair.  Pair i takes
+        raw draws i+1 and k+i+1 of the k = ceil(n/2) pairs; they are drawn
+        BATCH_BYTES // 16 pairs at a time and the counter ends 2k further on.
         """
         k = (n + 1) // 2
-        u1 = self.uniform(k)
-        u2 = self.uniform(k)
-        r = np.sqrt(-2.0 * np.log(u1))
-        ang = 2.0 * np.pi * u2
+        c0 = self._count
         out = np.empty(2 * k)
-        out[0::2] = r * np.cos(ang)
-        out[1::2] = r * np.sin(ang)
+        step = BATCH_BYTES // 16
+        for lo in range(0, k, step):
+            h = min(step, k - lo)
+            self._count = c0 + lo
+            r = self.uniform(h)
+            self._count = c0 + k + lo
+            ang = self.uniform(h)
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            ang *= 2.0 * np.pi
+            even = out[2 * lo:2 * (lo + h):2]
+            odd = out[2 * lo + 1:2 * (lo + h):2]
+            np.cos(ang, out=even)
+            even *= r
+            np.sin(ang, out=odd)
+            odd *= r
+        self._count = c0 + 2 * k
         return out[:n]
 
     def signs(self, n):

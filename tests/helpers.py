@@ -1,11 +1,23 @@
 """Shared test utilities: independent oracles and matrix constructions."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 
 from sparsekit.ensembles import EnsembleSpec, NoiseSpec, SignalSpec, gen_matrix, gen_noise, gen_signal
 from sparsekit.rng import CounterRng, stream_seed
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: peak is the most memory ``tracemalloc`` saw
+    allocated during the call, in bytes.  Tracing always stops."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def near_orthonormal(m, d, noise, seed, label="northo"):

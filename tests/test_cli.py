@@ -290,6 +290,13 @@ class TestOtherSubcommands:
         assert code == 0 and len(rows) == 3
         assert all(r.endswith(",false") for r in rows[1:])
 
+    @pytest.mark.parametrize("delta", ["nan", "0.1,nan"])
+    def test_rwbounds_nan_delta_is_exit_2(self, capsys, delta):
+        # a NaN delta used to print a row holding nan and exit 0
+        code, out, err = run_cli(capsys, "rwbounds", "--mu", "10",
+                                 "--eps", "0.1", "--delta", delta)
+        assert code == 2 and out == "" and "delta" in err
+
     def test_ric_json(self, capsys):
         code, out, _ = run_cli(capsys, "ric", "--d", "10", "--m", "8",
                                "--r", "2", "--seed", "5")
@@ -407,6 +414,20 @@ class TestRecover:
         code, out, err = run_cli(capsys, "recover", "--matrix", str(amat),
                                  "--signal", str(sig), "--algo", "omp",
                                  "--s", "-2")
+        assert code == 2 and out == "" and "s must be a whole number >= 1" in err
+
+    @pytest.mark.parametrize("algo, s", [("bp", "0"), ("bp", "-3"),
+                                         ("stomp", "0"), ("rwl1", "-1")])
+    def test_sparsity_below_one_is_exit_2(self, capsys, tmp_path, algo, s):
+        # bp, stomp and rwl1 never read s: --s 0 used to print a zero
+        # estimate and exit 0, and --s -3 was echoed back
+        amat, sig = tmp_path / "A.csv", tmp_path / "x.csv"
+        save_matrix_csv(amat, gen_matrix(EnsembleSpec("gaussian", 12, 24,
+                                                      seed=9)), seed=9)
+        save_vector_csv(sig, gen_signal(SignalSpec(24, 2, seed=10)), seed=10)
+        code, out, err = run_cli(capsys, "recover", "--matrix", str(amat),
+                                 "--signal", str(sig), "--algo", algo,
+                                 "--s", s)
         assert code == 2 and out == "" and "s must be a whole number >= 1" in err
 
     @pytest.mark.parametrize("level", ["nan", "-1"])

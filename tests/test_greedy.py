@@ -510,11 +510,46 @@ class TestColumnCap:
             order = sorted(range(30), key=lambda j: (-abs(y[j]), j))
             omega = [j for j in order[:2 * s] if y[j] != 0.0]
             if len(cur) + len(omega) > m:
-                omega = order[:m - len(cur)]
+                omega = [j for j in omega if j not in cur][:m - len(cur)]
                 bound += 1
             assert T == sorted(set(omega) | set(cur))
             a = nxt
         assert bound >= 1 and max(map(len, merged)) <= m
+
+    def test_cosamp_merge_fits_every_column_that_fits(self):
+        # omega may repeat columns of the running support, so only omega \
+        # cur is cut: each fit holds min(m, |omega u cur|) columns
+        m, d, s = 9, 40, 4
+        fits = []
+        fit = greedy.pseudoinverse_apply
+
+        def spy_fit(A, T, u, *args, **kwargs):
+            fits.append(len(T))
+            return fit(A, T, u, *args, **kwargs)
+
+        overlapping_cuts = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(greedy, "pseudoinverse_apply", spy_fit)
+            for seed in range(40):
+                A = gen_matrix(EnsembleSpec("gaussian", m, d, seed=seed))
+                u = CounterRng(stream_seed("cosamp-merge", seed)).normal(m)
+                fits.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    rep = cosamp(A, u, CosampConfig(
+                        s, halting="fixed_iterations", max_iters=8))
+                a = np.zeros(d)
+                for size, nxt in zip(fits, rep.estimate_history):
+                    cur = np.flatnonzero(a)
+                    y = A.T @ (u - A[:, cur] @ a[cur])
+                    order = sorted(range(d), key=lambda j: (-abs(y[j]), j))
+                    omega = {j for j in order[:2 * s] if y[j] != 0.0}
+                    merged = len(omega | set(cur))
+                    overlapping_cuts += (len(omega) + len(cur) > m
+                                         and bool(omega & set(cur)))
+                    assert size == min(m, merged)
+                    a = nxt
+        assert overlapping_cuts >= 1
 
     def test_cosamp_warns_outside_regime(self):
         with pytest.warns(UserWarning, match="outside the recommended"):

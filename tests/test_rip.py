@@ -13,6 +13,8 @@ from sparsekit.rip import (
 )
 from sparsekit.rng import CounterRng, stream_seed
 
+from helpers import traced_peak
+
 
 def brute_force_delta(A, r):
     """Independent oracle: scan every support with plain SVD calls."""
@@ -126,22 +128,76 @@ class TestRicMonteCarlo:
 class TestSampledSupports:
     """The batched draw gives the supports of the per-sample stream loop."""
 
-    # (d, r, seed, trials): the first crosses a CHUNK boundary, the fourth
-    # a DRAW_KEYS batch boundary inside one chunk
-    @pytest.mark.parametrize("d, r, seed, trials", [
-        (40, 3, 1, rip.CHUNK + 60), (256, 8, 2, 1000), (12, 2, 7, 300),
-        (1500, 5, 3, 800)])
-    def test_batched_supports_equal_per_sample_loop(self, d, r, seed, trials):
-        blocks = list(rip._sampled_chunks(d, r, trials,
-                                          stream_seed(seed, "ric")))
-        assert [len(b) for b in blocks] == [
-            min(rip.CHUNK, trials - start)
-            for start in range(0, trials, rip.CHUNK)]
-        want = np.array([CounterRng(stream_seed(seed, "ric", t)).subset(d, r)
+    @staticmethod
+    def per_sample(d, r, seed, trials):
+        return np.array([CounterRng(stream_seed(seed, "ric", t)).subset(d, r)
                          for t in range(trials)])
+
+    # (d, r, seed, trials, b): the first crosses a batch boundary, the next
+    # two fill whole batches of b, the last draws one support per batch
+    @pytest.mark.parametrize("d, r, seed, trials, b", [
+        (40, 3, 1, 300, 128), (256, 8, 2, 1000, 1000), (12, 2, 7, 300, 100),
+        (1500, 5, 3, 40, 1)])
+    def test_batched_supports_equal_per_sample_loop(self, d, r, seed, trials,
+                                                    b):
+        blocks = list(rip._sampled_chunks(d, r, trials,
+                                          stream_seed(seed, "ric"), b))
+        assert [len(x) for x in blocks] == [
+            min(b, trials - lo) for lo in range(0, trials, b)]
+        want = self.per_sample(d, r, seed, trials)
         got = np.concatenate(blocks)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+    def test_wide_matrix_draws_one_support_per_batch(self, monkeypatch):
+        # one row of d raw keys passes the budget, so each batch holds one
+        d = rip.BATCH_BYTES // 8 + 1
+        drawn = []
+        draw = rip.stream_subsets
+
+        def spy(prefix, counters, n, k):
+            drawn.append(draw(prefix, counters, n, k))
+            return drawn[-1]
+
+        monkeypatch.setattr(rip, "stream_subsets", spy)
+        ric_monte_carlo(np.ones((1, d)), 2, trials=3, seed=5)
+        assert [len(x) for x in drawn] == [1, 1, 1]
+        assert np.array_equal(np.concatenate(drawn),
+                              self.per_sample(d, 2, 5, 3))
+
+
+class TestBatchBudget:
+    """The byte budget sets how many supports a scan holds, never what it
+    reports."""
+
+    @staticmethod
+    def fields(rep):
+        return (rep.r, rep.mode, rep.trials, rep.witness.dtype,
+                rep.witness.tobytes(),
+                np.array([rep.delta, rep.delta_lower, rep.delta_upper]).tobytes())
+
+    # the analysis workload's ric cells at CLI seed 3
+    @pytest.mark.parametrize("solve, m, d, r", [
+        (lambda A, r: ric_monte_carlo(A, r, 1000, seed=3), 128, 256, 8),
+        (lambda A, r: ric_exact(A, r), 12, 20, 3),
+    ], ids=["monte_carlo", "exact"])
+    def test_one_support_batches_give_the_same_report(self, solve, m, d, r,
+                                                      monkeypatch):
+        A = gen_matrix(EnsembleSpec("gaussian", m, d, seed=3))
+        default = self.fields(solve(A, r))
+        monkeypatch.setattr(rip, "BATCH_BYTES", 8 * max(d, m * r))
+        assert self.fields(solve(A, r)) == default
+
+    # (m, d, r, trials): all 4096 supports of the first in one batch would
+    # gather 64 MiB of columns; in the second (r > m) the r x r Gram
+    # matrices outgrow the gathered columns
+    @pytest.mark.parametrize("m, d, r, trials", [(128, 256, 16, 4096),
+                                                 (10, 400, 200, 100)])
+    def test_scan_memory_stays_within_the_budget(self, m, d, r, trials):
+        A = gen_matrix(EnsembleSpec("gaussian", m, d, seed=4))
+        rep, peak = traced_peak(ric_monte_carlo, A, r, trials)
+        assert rep.trials == trials
+        assert peak < 4 * rip.BATCH_BYTES + A.nbytes
 
 
 class TestConsequences:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from sparsekit import rng
 from sparsekit.rng import CounterRng, stream_seed
+
+from helpers import traced_peak
 
 # frozen first draws of the Gaussian stream for seed stream_seed(12345);
 # pins RNG stability across platforms and releases
@@ -47,6 +50,67 @@ def test_normal_moments():
     z = CounterRng(8).normal(200_000)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
+
+
+def normal_reference(gen, n):
+    """``CounterRng.normal`` as first written, kept frozen: every Gaussian
+    matrix and noise vector is drawn through it, and the benchmark
+    references pin their bytes."""
+    k = (n + 1) // 2
+    u1 = ((gen.raw(k) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u2 = ((gen.raw(k) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    ang = 2.0 * np.pi * u2
+    out = np.empty(2 * k)
+    out[0::2] = r * np.cos(ang)
+    out[1::2] = r * np.sin(ang)
+    return out[:n]
+
+
+class TestBlockwiseNormal:
+    """``normal`` draws BATCH_BYTES // 16 pairs at a time, with the bytes,
+    the counter and the raw-draw count of the one-pass draw."""
+
+    EDGE = rng.BATCH_BYTES // 16      # pairs in one block
+
+    @staticmethod
+    def counted(monkeypatch):
+        draws = []
+        raw = CounterRng.raw
+
+        def counted_raw(self, n):
+            draws.append(n)
+            return raw(self, n)
+
+        monkeypatch.setattr(CounterRng, "raw", counted_raw)
+        return draws
+
+    def check(self, monkeypatch, seed, n):
+        gen, ref = CounterRng(seed), CounterRng(seed)
+        gen.raw(3)
+        ref.raw(3)
+        want = normal_reference(ref, n)
+        draws = self.counted(monkeypatch)
+        got = gen.normal(n)
+        assert got.tobytes() == want.tobytes()
+        assert sum(draws) == 2 * ((n + 1) // 2)
+        assert gen.raw(2).tobytes() == ref.raw(2).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 2 * EDGE, 2 * EDGE + 1,
+                                   2 * EDGE + 2])
+    def test_default_blocks_match_reference(self, monkeypatch, n):
+        self.check(monkeypatch, stream_seed("normal", n), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 10, 33])
+    @pytest.mark.parametrize("pairs", [1, 2, 4])
+    def test_small_blocks_match_reference(self, monkeypatch, n, pairs):
+        monkeypatch.setattr(rng, "BATCH_BYTES", 16 * pairs)
+        self.check(monkeypatch, stream_seed("normal", n, pairs), n)
+
+    def test_large_draw_holds_one_block_of_temporaries(self):
+        n = 1024 * 2048
+        out, peak = traced_peak(CounterRng(5).normal, n)
+        assert peak < out.nbytes + 4 * rng.BATCH_BYTES
 
 
 def test_signs_balanced():
