@@ -112,10 +112,6 @@ def bp_equality(A, u, weights=None):
     nu = dual_least_squares(-(lam1 - lam2))
     Atnu = A.T @ nu
     mu = 10.0
-    # Schur-complement buffers, refilled every step; As keeps A's layout,
-    # as the temporary A / sigx did, so the product has the same bits
-    As = np.empty_like(A)
-    Hnu = np.empty((m, m))
 
     def residuals(fu1, fu2, lam1, lam2, Atnu, r_pri, tau):
         return np.concatenate([lam1 - lam2 + Atnu, 1.0 - lam1 - lam2,
@@ -138,8 +134,7 @@ def bp_equality(A, u, weights=None):
         rhs_t = -1.0 - (1.0 / tau) * (1.0 / fu1 + 1.0 / fu2)
         w1p = rhs_z - (sig2 / sig1) * rhs_t
 
-        np.divide(A, sigx[None, :], out=As)
-        np.matmul(As, A.T, out=Hnu)
+        Hnu = (A / sigx[None, :]) @ A.T
         rhs_nu = A @ (w1p / sigx) + r_pri
         try:
             dnu = np.linalg.solve(Hnu, rhs_nu)

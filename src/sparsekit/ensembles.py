@@ -103,8 +103,9 @@ def dct_matrix(d, rows=None):
     place, in the order of that expression, so the peak allocation is about
     one output and every entry gets the same IEEE operations.  A row outside
     [0, d) raises ``IndexError``.  Every call builds afresh; ``gen_matrix``
-    is what caches.
+    is what caches.  d must be a whole number >= 1 (``ValueError``).
     """
+    d = as_count(d, "d")
     if rows is None:
         k = np.arange(d)[:, None]
     else:

@@ -64,7 +64,6 @@ def as_count(value, name, low=1):
 
 _DEFAULT_LS = LsConfig()
 _TINY = np.finfo(float).tiny
-_CG_ROWS = 64       # rows of the conjugate-gradient step buffer
 
 
 def _as_2d(A):
@@ -112,9 +111,8 @@ def least_squares(A_T, u, z0=None, cfg=None):
     The greedy benchmark references are byte-exact and every greedy fit
     runs through conjugate gradient, so it takes the same IEEE operations
     in the same order as the kernel first written (kept frozen in the
-    tests as ``cgnr_reference``).  Work vectors written in place, and the
-    updates of z added a block at a time by one accumulate, only cut the
-    per-iteration overhead.  A cold start (``z0=None``) skips the matvec
+    tests as ``cgnr_reference``).  Work vectors written in place only cut
+    the per-iteration overhead.  A cold start (``z0=None``) skips the matvec
     with z = 0: its residual is u and its first A_T' r is A_T' u.
     """
     A_T = as_matrix(A_T)
@@ -155,16 +153,11 @@ def _richardson(A_T, u, z, atu, target, max_iters):
 
 def _cgnr(A_T, u, z, atu, target, max_iters):
     m, k = A_T.shape
-    # z is (z0 + alpha_1 p_1) + alpha_2 p_2 + ...  Row 0 of P holds the sum so
-    # far and rows 1.. the directions since, so one product and one
-    # accumulate (left to right, as the loop would add) bring z up to date
-    # when P is full and at the end, in place of two calls per iteration
-    P = np.empty((_CG_ROWS, k))
     if z is None:
-        P[0] = 0.0
+        z = np.zeros(k)
         r, s = u.copy(), atu
     else:
-        P[0] = z
+        z = z.copy()
         r = u - A_T @ z
         s = A_T.T @ r
     if A_T.flags.forc:
@@ -174,10 +167,8 @@ def _cgnr(A_T, u, z, atu, target, max_iters):
         # `@` may sum a strided block in its own loop, where dot would copy
         # it for BLAS and round otherwise
         matvec, rmatvec = partial(np.matmul, A_T), partial(np.matmul, A_T.T)
-    n, p = 1, P[1]                      # p is row n
-    p[:] = s
-    q, step = np.empty(m), np.empty(m)
-    alphas = []
+    p = s.copy()
+    q, step, zstep = np.empty(m), np.empty(m), np.empty(k)
     gamma = s.dot(s)
     # bound and local names, and out as a positional argument, because the
     # call overhead is most of the cost at these lengths
@@ -190,31 +181,18 @@ def _cgnr(A_T, u, z, atu, target, max_iters):
             break
         it += 1
         alpha = gamma / qq
-        alphas.append(alpha)
+        mul(p, alpha, zstep)            # z <- z + alpha p
+        add(z, zstep, z)
         mul(q, alpha, step)             # r <- r - alpha q
         sub(r, step, r)
         rmatvec(r, s)
         gamma_new = s.dot(s)
         if math.sqrt(gamma_new) <= target:
             break
-        if n == _CG_ROWS - 1:           # add all but p into row 0
-            _add_steps(P, alphas[:-1])
-            P[1] = p
-            n, p, alphas = 1, P[1], alphas[-1:]
-        n += 1                          # p <- s + (gamma_new / gamma) p
-        p_next = P[n]
-        mul(p, gamma_new / gamma, p_next)
-        add(s, p_next, p_next)
-        p, gamma = p_next, gamma_new
-    _add_steps(P, alphas)
-    return P[0].copy(), it
-
-
-def _add_steps(P, alphas):
-    """Row 0 of P plus alphas[i-1] times row i, added in row order, into row 0."""
-    steps = P[:len(alphas) + 1]
-    np.multiply(steps[1:], np.array(alphas)[:, None], steps[1:])
-    P[0] = np.add.accumulate(steps, axis=0, out=steps)[-1]
+        mul(p, gamma_new / gamma, p)    # p <- s + (gamma_new / gamma) p
+        add(s, p, p)
+        gamma = gamma_new
+    return z, it
 
 
 def pseudoinverse_apply(A, T, u, cfg=None, z0=None):

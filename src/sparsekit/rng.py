@@ -10,6 +10,8 @@ purpose) are derived with :func:`stream_seed`, never with Python's salted
 
 import numpy as np
 
+from .linalg import as_count
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _INIT = 0x243F6A8885A308D3
@@ -60,7 +62,8 @@ def stream_seed(*tokens):
 
 
 class CounterRng:
-    """SplitMix64 stream positioned by an internal draw counter."""
+    """SplitMix64 stream positioned by an internal draw counter.  A count
+    that is not a whole number >= 0 raises ``ValueError`` and draws nothing."""
 
     def __init__(self, seed):
         self._seed = np.uint64(int(seed) & _MASK)
@@ -68,6 +71,7 @@ class CounterRng:
 
     def raw(self, n):
         """Next ``n`` raw uint64 draws."""
+        n = as_count(n, "n", low=0)
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
         with np.errstate(over="ignore"):
@@ -88,6 +92,7 @@ class CounterRng:
         raw draws i+1 and k+i+1 of the k = ceil(n/2) pairs; they are drawn
         BATCH_BYTES // 16 pairs at a time and the counter ends 2k further on.
         """
+        n = as_count(n, "n", low=0)
         k = (n + 1) // 2
         c0 = self._count
         out = np.empty(2 * k)
@@ -120,7 +125,10 @@ class CounterRng:
         return np.argsort(self.raw(n), kind="stable")
 
     def subset(self, n, k):
-        """Sorted uniform random k-subset of ``range(n)``."""
+        """Sorted uniform random k-subset of ``range(n)``, 0 <= k <= n."""
+        n, k = as_count(n, "n", low=0), as_count(k, "k", low=0)
+        if k > n:
+            raise ValueError(f"k={k} exceeds n={n}")
         return np.sort(self.permutation(n)[:k])
 
 

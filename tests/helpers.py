@@ -1,6 +1,7 @@
 """Shared test utilities: independent oracles and matrix constructions."""
 
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,28 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def lines_run(code, fn):
+    """The set of line numbers that ran in frames of the code object
+    ``code`` while ``fn()`` ran, each frame's first line included.  The
+    tracer that was set on entry is always set again."""
+    lines = set()
+
+    def in_frame(frame, event, arg):
+        lines.add(frame.f_lineno)
+        return in_frame
+
+    def on_call(frame, event, arg):
+        return in_frame(frame, event, arg) if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return lines
 
 
 def near_orthonormal(m, d, noise, seed, label="northo"):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import os
 import warnings
 
 import numpy as np
@@ -159,6 +161,50 @@ class TestBpEquality:
                 x[list(supp)] = signs
                 xh = bp_equality(A, A @ x)
                 np.testing.assert_allclose(xh, x, atol=1e-6)
+
+
+class TestBpEqualityBytes:
+    """SHA-256 of ``bp_equality``'s answer on four seeded instances.
+
+    The benchmark compares convex cells only to 1e-3 relative, so these
+    pins are what notice a changed bit in the interior-point steps: on a C-
+    and an F-ordered A, in the weighted route, and on the SVD ``lstsq``
+    fallback of a nearly singular AA^T.  The hashes hold for
+    the one OpenBLAS thread that ``conftest.py`` pins unless the environment
+    sets another count; more threads split the Schur product's sums."""
+
+    SHA256 = {
+        "gaussian": "8b8f0f1d89bfe57d666f55ff87373a7f7c56968e30f7e3bc59f52b3eb3f8296a",
+        "fortran": "1f7085564e4ad1110e663e9baa7a70c032a685aef9b742d99b3ac84c28f43798",
+        "weighted": "0ef458a5a5e715da7b2589015ca12be2496e5a6c090e61563e000d1f951e691d",
+        "nearly-repeated-row":
+            "46c2884ead4b66be1d4c33dddcdd72a1af65ac254f21a22e1a7fb6e0dbd28fa5",
+    }
+
+    @staticmethod
+    def instance(name):
+        if name == "nearly-repeated-row":
+            A, x = TestBpEquality.nearly_repeated_row(1, 1e-7)
+            return A, A @ x, None
+        A = gen_matrix(EnsembleSpec("gaussian", 128, 256, seed=stream_seed("bp-bytes", 0)))
+        u = A @ gen_signal(SignalSpec(256, 16, seed=stream_seed("bp-bytes-sig", 0)))
+        if name == "fortran":
+            return np.asfortranarray(A), u, None
+        if name == "weighted":
+            return A, u, 0.5 + CounterRng(stream_seed("bp-bytes-w", 0)).uniform(256)
+        return A, u, None
+
+    @pytest.mark.skipif(os.environ.get("OPENBLAS_NUM_THREADS") != "1",
+                        reason="the hashes hold for one OpenBLAS thread")
+    @pytest.mark.parametrize("name", list(SHA256))
+    def test_same_bytes(self, name):
+        z = bp_equality(*self.instance(name))
+        assert hashlib.sha256(z.tobytes()).hexdigest() == self.SHA256[name]
+
+    def test_fallback_instance_takes_lstsq(self):
+        A, _, _ = self.instance("nearly-repeated-row")
+        diag = np.diag(np.linalg.cholesky(A @ A.T))
+        assert (diag.min() / diag.max()) ** 2 < convex.GRAM_MIN_RCOND
 
 
 class TestBpDenoise:

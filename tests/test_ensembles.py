@@ -144,6 +144,18 @@ class TestDctRows:
         with pytest.raises(IndexError, match="out of range for 8 rows"):
             dct_matrix(8, rows)
 
+    @pytest.mark.parametrize("d", [2.5, -3, 0, np.nan],
+                             ids=["2.5", "-3", "0", "nan"])
+    def test_size_must_be_a_whole_number(self, d):
+        # 2.5 built a 3 x 3 matrix that is not orthogonal, -3 an empty one,
+        # and 0 divided by zero
+        with pytest.raises(ValueError, match="d must be a whole number >= 1"):
+            dct_matrix(d)
+
+    def test_whole_float_size_builds_the_int_size(self):
+        assert dct_matrix(8.0).tobytes() == dct_matrix(8).tobytes()
+        assert dct_matrix(8.0, [3, 1]).tobytes() == dct_matrix(8, [3, 1]).tobytes()
+
     @pytest.mark.parametrize("m, d", [(16, 64), (64, 64), (16, 2048)])
     def test_writing_a_result_leaves_the_next_draw_unchanged(self, m, d):
         spec = EnsembleSpec("partial_dct", m, d, seed=5)

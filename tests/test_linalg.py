@@ -1,3 +1,5 @@
+import dis
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from sparsekit.linalg import (
     top_k,
 )
 from sparsekit.rng import CounterRng, stream_seed
+
+from helpers import lines_run
 
 
 def near_identity_columns(m, k, noise, seed):
@@ -189,6 +193,11 @@ def cgnr_battery():
     # a cap far past any run must not size an allocation
     cases.append(("huge-cap", A[:, :4].copy(), rng.normal(30), None,
                   LsConfig(max_iters=10**12)))
+    # a strided block takes the np.matmul route, here for all 3k steps
+    B = rng.normal(200 * 80).reshape(200, 80) / np.sqrt(200)
+    u = rng.normal(200)
+    for name, z0 in (("cold", None), ("warm", rng.normal(40))):
+        cases.append((f"long-strided-{name}", B[:, ::2], u, z0, LsConfig(tol=0.0)))
     return cases
 
 
@@ -208,6 +217,18 @@ class TestConjugateGradientBytes:
         assert its == its_ref and z.tobytes() == z_ref.tobytes()
         # the kernel works in its own buffers, never in the caller's arrays
         assert inputs() == before
+
+
+def test_battery_runs_every_kernel_line():
+    # a branch that no battery case reaches is a branch no case compares
+    code = linalg._cgnr.__code__
+
+    def run_battery():
+        for _, A_T, u, z0, cfg in CGNR_BATTERY:
+            least_squares(A_T, u, z0, cfg)
+
+    want = {line for _, line in dis.findlinestarts(code) if line is not None}
+    assert want - lines_run(code, run_battery) == set()
 
 
 class TestPseudoinverseApply:

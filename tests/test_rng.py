@@ -133,3 +133,38 @@ def test_subset_sorted_and_uniformish():
         counts[sub] += 1
     # each element appears in a 2-of-6 subset with probability 1/3
     assert np.all(np.abs(counts / 3000 - 1 / 3) < 0.05)
+
+
+class TestBadCounts:
+    """A count that is negative or not a whole number raises ``ValueError``
+    and leaves the stream where it was; before, ``raw(-2)`` wound the
+    counter back and ``raw(2.5)`` left it between draws."""
+
+    @pytest.mark.parametrize("method, args", [
+        ("raw", (-2,)), ("raw", (2.5,)), ("raw", (np.nan,)),
+        ("uniform", (-2,)), ("signs", (-1,)), ("permutation", (-1,)),
+        ("normal", (-1,)), ("normal", (-3,)), ("normal", (1.5,)),
+        ("subset", (5, 7)), ("subset", (5, -1)), ("subset", (5, 2.5)),
+        ("subset", (-1, 0))])
+    def test_rejected_without_moving_the_counter(self, method, args):
+        gen = CounterRng(3)
+        gen.raw(3)
+        with pytest.raises(ValueError, match="whole number|exceeds"):
+            getattr(gen, method)(*args)
+        assert gen.raw(2).tobytes() == CounterRng(3).raw(5)[3:].tobytes()
+
+    @pytest.mark.parametrize("method, args, used", [
+        ("raw", (0,), 0), ("uniform", (0,), 0), ("normal", (0,), 0),
+        ("permutation", (0,), 0), ("subset", (5, 0), 5), ("subset", (0, 0), 0)])
+    def test_empty_results(self, method, args, used):
+        # subset(n, 0) still draws its n keys
+        gen = CounterRng(3)
+        assert getattr(gen, method)(*args).size == 0
+        assert gen.raw(1).tobytes() == CounterRng(3).raw(used + 1)[used:].tobytes()
+
+    def test_whole_float_counts_draw_as_ints(self):
+        assert CounterRng(4).raw(3.0).tobytes() == CounterRng(4).raw(3).tobytes()
+        assert (CounterRng(4).normal(5.0).tobytes()
+                == CounterRng(4).normal(5).tobytes())
+        assert (CounterRng(4).subset(9, 4.0).tobytes()
+                == CounterRng(4).subset(9, 4).tobytes())
