@@ -392,8 +392,10 @@ def rw_error_recursion(mu, eps, delta, tol=1e-3):
     E(1) = 2 alpha eps / (1 - rho); thereafter
     E(k+1) = (1 + E(k)/(mu - E(k))) alpha eps / (1 - rho E(k)/(mu - E(k))).
     Requires mu >= 4 alpha eps / (1 - rho).  Returns the sequence up to the
-    first term within ``tol`` of the closed-form limit.
+    first term within ``tol`` of the closed-form limit; ``tol`` must be > 0.
     """
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
     rho, alpha = rw_constants(delta)
     if eps < 0:
         raise ValueError("eps must be >= 0")

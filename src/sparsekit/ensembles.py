@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_count
+from .linalg import as_count, as_indices
 from .rng import CounterRng, stream_seed
 
 FAMILIES = ("gaussian", "bernoulli", "partial_dct")
@@ -75,7 +75,9 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
-        if not 0 <= self.sparsity <= self.dim:
+        object.__setattr__(self, "dim", as_count(self.dim, "dim"))
+        object.__setattr__(self, "sparsity", as_count(self.sparsity, "sparsity", low=0))
+        if self.sparsity > self.dim:
             raise ValueError("sparsity must lie in [0, dim]")
         if self.kind == "compressible" and not 0.0 < self.p < 1.0:
             raise ValueError("compressible decay exponent p must be in (0, 1)")
@@ -88,6 +90,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_count(self.dim, "dim"))
         if not 0 <= self.target_norm < math.inf:
             raise ValueError(f"noise level target_norm must be finite and "
                              f">= 0, got {self.target_norm}")
@@ -103,15 +106,13 @@ def dct_matrix(d, rows=None):
     place, in the order of that expression, so the peak allocation is about
     one output and every entry gets the same IEEE operations.  A row outside
     [0, d) raises ``IndexError``.  Every call builds afresh; ``gen_matrix``
-    is what caches.  d must be a whole number >= 1 (``ValueError``).
+    is what caches.  d must be a whole number >= 1 and each row a whole
+    number (``ValueError``).
     """
     d = as_count(d, "d")
-    if rows is None:
-        k = np.arange(d)[:, None]
-    else:
-        k = np.asarray(rows, dtype=np.intp)[:, None]
-        if k.size and (k.min() < 0 or k.max() >= d):
-            raise IndexError(f"row index out of range for {d} rows")
+    k = (np.arange(d) if rows is None else as_indices(rows, "rows"))[:, None]
+    if k.size and (k.min() < 0 or k.max() >= d):
+        raise IndexError(f"row index out of range for {d} rows")
     j = np.arange(d)[None, :]
     C = np.pi * (2 * j + 1) * k
     C /= 2 * d

@@ -30,10 +30,10 @@ import numpy as np
 from .linalg import (
     LsConfig,
     as_count,
+    as_indices,
     as_matrix,
     as_vector,
     pseudoinverse_apply,
-    support,
     top_k,
 )
 from .reports import (
@@ -124,48 +124,34 @@ def _cap_columns(y, J, held, m):
 def regularize(indices, values):
     """Maximal-energy subset with pairwise comparable magnitudes.
 
-    Candidates are contiguous intervals of the magnitude-sorted sequence:
-    the greedy factor-2 runs starting at each undominated entry, plus the
-    dyadic shells anchored at ||values||_2.  Every candidate satisfies
+    Candidates are contiguous intervals of mag, the magnitudes in a stable
+    descending sort.  With ``ends[i]`` one past the last entry within a
+    factor 2 of mag[i], the greedy runs (w, ends[w]) start at w = 0 and at
+    each run's end.  The dyadic shells (norm 2^-k, norm 2^(1-k)], k = 1..k0,
+    with norm = ||values||_2, are the rest.  Every candidate satisfies
     |v_i| <= 2 |v_j| for all members; the first maximal-energy candidate
     wins.  Returns the selected indices sorted ascending.
     """
-    indices = np.asarray(indices, dtype=np.intp).reshape(-1)
+    indices = as_indices(indices, "indices")
     values = as_vector(values, indices.size, "values")
     if indices.size == 0:
         raise ValueError("regularize needs a nonempty index set")
     order = np.argsort(-np.abs(values), kind="stable")
     mag = np.abs(values)[order]
-    n = mag.size
-
-    candidates = []
-    w = 0
-    while w < n:
-        first = mag[w]
-        j = w
-        while j < n and mag[j] >= first / 2.0:
-            j += 1
-        candidates.append((w, j))
-        w = j
+    neg = -mag
+    ends = np.searchsorted(neg, neg / 2.0, side="right")
+    candidates, w = [], 0
+    while w < mag.size:
+        candidates.append((w, ends[w]))
+        w = ends[w]
     norm = float(np.linalg.norm(mag))
     if norm > 0:
-        k0 = int(np.ceil(np.log2(max(n, 2)))) + 1
-        for k in range(1, k0 + 1):
-            hi = 2.0 ** (-k + 1) * norm
-            lo = 2.0 ** (-k) * norm
-            start = int(np.searchsorted(-mag, -hi, side="left"))
-            stop = int(np.searchsorted(-mag, -lo, side="left"))
-            if stop > start:
-                candidates.append((start, stop))
-
-    best_energy = -1.0
-    best = (0, 1)
-    for start, stop in candidates:
-        energy = float(np.sum(mag[start:stop] ** 2))
-        if energy > best_energy:
-            best_energy = energy
-            best = (start, stop)
-    return np.sort(indices[order[best[0]:best[1]]])
+        k0 = int(np.ceil(np.log2(max(mag.size, 2)))) + 1
+        edges = np.searchsorted(neg, -(norm * 2.0 ** -np.arange(k0 + 1)))
+        candidates += [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    best = np.argmax([np.sum(mag[a:b] ** 2) for a, b in candidates])
+    start, stop = candidates[best]
+    return np.sort(indices[order[start:stop]])
 
 
 def omp(A, u, s, adjoint=None):
@@ -226,7 +212,7 @@ def stomp(A, u, cfg=None, adjoint=None):
             halt = HALT_PROXY_INFNORM
             break
         J = _cap_columns(y, J, I.size, m)
-        I = np.union1d(I, J).astype(np.intp)
+        I = np.union1d(I, J)
         x_hat = pseudoinverse_apply(A, I, u)
         r = u - A @ x_hat
         rnorm = float(np.linalg.norm(r))
@@ -263,7 +249,6 @@ def romp(A, u, s, adjoint=None):
     rnorm = float(np.linalg.norm(r))
     history = []
     selections = []
-    it = 0
     while True:
         if rnorm <= ROMP_RESIDUAL_TOL:
             halt = HALT_RESIDUAL_ZERO
@@ -271,7 +256,7 @@ def romp(A, u, s, adjoint=None):
         if I.size >= 2 * s:
             halt = HALT_SUPPORT_FULL
             break
-        if it >= s:
+        if len(history) >= s:
             halt = HALT_MAX_ITERATIONS
             break
         y = A.T @ r if adjoint is None else adjoint(r)
@@ -280,17 +265,15 @@ def romp(A, u, s, adjoint=None):
         if nonzero == 0:
             halt = HALT_PROXY_INFNORM
             break
-        k = min(s, nonzero)
-        order = np.argsort(-np.abs(y), kind="stable")[:k]
-        J0 = _cap_columns(y, regularize(order, y[order]), I.size, m)
-        I = np.union1d(I, J0).astype(np.intp)
+        J = top_k(y, min(s, nonzero))
+        J0 = _cap_columns(y, regularize(J, y[J]), I.size, m)
+        I = np.union1d(I, J0)
         x_hat = pseudoinverse_apply(A, I, u)
         r = u - A[:, I] @ x_hat[I]
-        it += 1
         rnorm = float(np.linalg.norm(r))
         history.append(rnorm)
         selections.append(J0)
-    return RecoveryReport(x_hat, I, it, history, halt,
+    return RecoveryReport(x_hat, I, len(history), history, halt,
                           selection_history=selections)
 
 
@@ -323,7 +306,6 @@ def cosamp(A, u, cfg, adjoint=None):
     history = []
     estimates = []
     cap = cfg.iteration_cap
-    it = 0
     vnorm = float(np.linalg.norm(v))
     while True:
         if cfg.halting == "sample_norm" and vnorm <= cfg.halt_value:
@@ -332,7 +314,7 @@ def cosamp(A, u, cfg, adjoint=None):
         if vnorm <= RESIDUAL_TOL:
             halt = HALT_RESIDUAL_ZERO
             break
-        if it >= cap:
+        if len(history) >= cap:
             halt = HALT_MAX_ITERATIONS
             break
         y = A.T @ v if adjoint is None else adjoint(v)
@@ -345,16 +327,17 @@ def cosamp(A, u, cfg, adjoint=None):
         if omega.size + cur.size > m:  # only new columns count toward m
             omega = _cap_columns(
                 y, np.setdiff1d(omega, cur, assume_unique=True), cur.size, m)
-        T = np.union1d(omega, cur).astype(np.intp)
-        # the estimate is zero outside T, so pruning T prunes all of it
+        T = np.union1d(omega, cur)
+        # the estimate is zero outside T, so pruning T prunes all of it: a
+        # is prune(b[T], s) on T, and cur its support
         b = pseudoinverse_apply(A, T, u, COSAMP_LS, z0=a)
+        keep = T[top_k(b[T], min(s, T.size))]
         a = np.zeros(d)
-        a[T] = prune(b[T], s)
-        cur = support(a)
+        a[keep] = b[keep]
+        cur = keep[b[keep] != 0.0]
         v = u - A[:, cur] @ a[cur]
-        it += 1
         vnorm = float(np.linalg.norm(v))
         history.append(vnorm)
         estimates.append(a.copy())
-    return RecoveryReport(a, cur, it, history, halt,
+    return RecoveryReport(a, cur, len(history), history, halt,
                           estimate_history=estimates)

@@ -62,6 +62,18 @@ def as_count(value, name, low=1):
     return int(value)
 
 
+def as_indices(indices, name):
+    """Flat intp ``indices``.  Integer input passes on its dtype alone; other
+    input must hold whole numbers in the intp range, else ``ValueError``."""
+    idx = np.asarray(indices).reshape(-1)
+    if idx.dtype.kind in "iu":
+        return idx.astype(np.intp, copy=False)
+    whole = idx.astype(float)
+    if not ((np.abs(whole) < 2.0**63) & (whole == np.trunc(whole))).all():
+        raise ValueError(f"{name} must hold whole numbers")
+    return whole.astype(np.intp)
+
+
 _DEFAULT_LS = LsConfig()
 _TINY = np.finfo(float).tiny
 
@@ -91,7 +103,7 @@ def as_vector(x, length=None, name="vector"):
 
 def as_index_set(indices, d):
     """Validate a strictly increasing set of column indices in [0, d)."""
-    idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+    idx = as_indices(indices, "index set")
     if idx.size:
         if idx[0] < 0 or idx[-1] >= d:
             raise IndexError(f"index out of range for {d} columns")

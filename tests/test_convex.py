@@ -484,3 +484,9 @@ class TestErrorRecursion:
     def test_nan_mu_violates_hypothesis(self):
         with pytest.raises(ValueError, match="hypothesis"):
             rw_error_recursion(float("nan"), 0.1, 0.2)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-3])
+    def test_tol_must_be_positive(self, tol):
+        # NaN returned a one-term bound and 0 ran 100,000 terms before failing
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            rw_error_recursion(10.0, 0.1, 0.1, tol=tol)

@@ -155,6 +155,14 @@ class TestDctRows:
     def test_whole_float_size_builds_the_int_size(self):
         assert dct_matrix(8.0).tobytes() == dct_matrix(8).tobytes()
         assert dct_matrix(8.0, [3, 1]).tobytes() == dct_matrix(8, [3, 1]).tobytes()
+        assert dct_matrix(8, [3.0, 1.0]).tobytes() == dct_matrix(8, [3, 1]).tobytes()
+
+    @pytest.mark.parametrize("rows", [[0.5], [1, np.nan], [np.inf]],
+                             ids=["0.5", "nan", "inf"])
+    def test_rows_must_be_whole_numbers(self, rows):
+        # truncated, [0.5] built row 0
+        with pytest.raises(ValueError, match="rows must hold whole numbers"):
+            dct_matrix(4, rows)
 
     @pytest.mark.parametrize("m, d", [(16, 64), (64, 64), (16, 2048)])
     def test_writing_a_result_leaves_the_next_draw_unchanged(self, m, d):
@@ -279,6 +287,26 @@ class TestSignals:
             assert np.count_nonzero(x) == s
 
 
+    @pytest.mark.parametrize("dim, s, message", [
+        (10, 2.5, "sparsity must be a whole number >= 0"),
+        (10, -1, "sparsity must be a whole number >= 0"),
+        (10, np.nan, "sparsity must be a whole number >= 0"),
+        (10, 11, r"sparsity must lie in \[0, dim\]"),
+        (0, 0, "dim must be a whole number >= 1"),
+        (2.5, 1, "dim must be a whole number >= 1"),
+    ], ids=["s-half", "s-negative", "s-nan", "s-past-dim", "dim-zero",
+            "dim-half"])
+    def test_counts_checked_by_name(self, dim, s, message):
+        with pytest.raises(ValueError, match=message):
+            SignalSpec(dim, s)
+
+    def test_whole_float_counts_draw_the_int_signal(self):
+        spec = SignalSpec(10.0, 2.0, seed=7)
+        assert type(spec.dim) is int and type(spec.sparsity) is int
+        assert gen_signal(spec).tobytes() == gen_signal(
+            SignalSpec(10, 2, seed=7)).tobytes()
+
+
 class TestNoise:
     def test_zero_norm(self):
         assert np.array_equal(gen_noise(NoiseSpec(5, 0.0, seed=1)), np.zeros(5))
@@ -295,6 +323,17 @@ class TestNoise:
     def test_level_must_be_finite_and_non_negative(self, level):
         with pytest.raises(ValueError, match="noise level"):
             NoiseSpec(4, level)
+
+    @pytest.mark.parametrize("dim", [-3, 0, 2.5, np.nan])
+    def test_dim_must_be_a_whole_number(self, dim):
+        # -3 raised numpy's "negative dimensions" and 2.5 named rng's n
+        with pytest.raises(ValueError, match="^dim must be a whole number >= 1$"):
+            NoiseSpec(dim, 1.0)
+
+    def test_whole_float_dim_draws_the_int_noise(self):
+        spec = NoiseSpec(6.0, 1.0, seed=4)
+        assert type(spec.dim) is int
+        assert gen_noise(spec).tobytes() == gen_noise(NoiseSpec(6, 1.0, seed=4)).tobytes()
 
 
 class TestCsv:

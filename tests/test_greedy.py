@@ -1,3 +1,5 @@
+import dis
+import hashlib
 import itertools
 import warnings
 
@@ -25,6 +27,8 @@ from sparsekit.greedy import (
     stomp,
 )
 from sparsekit.rng import CounterRng, stream_seed
+
+from helpers import lines_run
 
 
 def brute_force_regularize(indices, values):
@@ -217,6 +221,187 @@ class TestRegularize:
         values = [1.0, 0.55] + [0.3] * 20
         assert list(regularize(np.arange(22), values)) == list(range(1, 22))
 
+    @pytest.mark.parametrize("indices", [[0.5, 1.5], [0, np.nan], [np.inf, 1]])
+    def test_fractional_indices_rejected(self, indices):
+        with pytest.raises(ValueError, match="whole numbers"):
+            regularize(indices, [1.0, 2.0])
+
+    def test_whole_float_indices_pass(self):
+        J0 = regularize([4.0, 2.0], [1.0, 1.5])
+        assert J0.dtype == np.intp and list(J0) == [2, 4]
+
+
+def regularize_reference(indices, values):
+    """``regularize`` as first written, with a per-entry run scan, kept
+    frozen.
+
+    ``regularize`` must return the same indices: ROMP's benchmark references
+    pin every estimate, and each ROMP round selects through it.
+    """
+    indices = np.asarray(indices, dtype=np.intp).reshape(-1)
+    values = np.asarray(values, dtype=float).reshape(-1)
+    order = np.argsort(-np.abs(values), kind="stable")
+    mag = np.abs(values)[order]
+    n = mag.size
+
+    candidates = []
+    w = 0
+    while w < n:
+        first = mag[w]
+        j = w
+        while j < n and mag[j] >= first / 2.0:
+            j += 1
+        candidates.append((w, j))
+        w = j
+    norm = float(np.linalg.norm(mag))
+    if norm > 0:
+        k0 = int(np.ceil(np.log2(max(n, 2)))) + 1
+        for k in range(1, k0 + 1):
+            hi = 2.0 ** (-k + 1) * norm
+            lo = 2.0 ** (-k) * norm
+            start = int(np.searchsorted(-mag, -hi, side="left"))
+            stop = int(np.searchsorted(-mag, -lo, side="left"))
+            if stop > start:
+                candidates.append((start, stop))
+
+    best_energy = -1.0
+    best = (0, 1)
+    for start, stop in candidates:
+        energy = float(np.sum(mag[start:stop] ** 2))
+        if energy > best_energy:
+            best_energy = energy
+            best = (start, stop)
+    return np.sort(indices[order[best[0]:best[1]]])
+
+
+def regularize_battery():
+    """Seeded (indices, values) inputs of n = 1 to 39 entries: Gaussian,
+    heavy-tailed, tied, exact powers of two, one-hot, all-zero, partly zero,
+    and scaled near the bottom (1e-300, subnormal) and top (1e200, whose
+    squares overflow) of the double range, each under shuffled labels."""
+    rng = CounterRng(stream_seed(24, "regularize-battery"))
+    cases = []
+    for trial in range(6000):
+        n = 1 + trial % 39
+        kind = trial // 39 % 10
+        v = rng.normal(n)
+        if kind == 1:
+            v = np.exp(3.0 * v) * rng.signs(n)
+        elif kind == 2:
+            v = np.array([1.0, -1.0, 2.0, 0.5, 4.0, 3.0])[
+                rng.permutation(6 * n) % 6][:n]
+        elif kind == 3:
+            v = rng.signs(n) * 2.0 ** (rng.permutation(11 * n)[:n] % 11 - 5)
+        elif kind == 4:
+            v = np.zeros(n)
+            v[rng.permutation(n)[0]] = rng.normal(1)[0]
+        elif kind == 5:
+            v = np.zeros(n) * rng.signs(n)
+        elif kind == 6:
+            v[rng.permutation(n)[:n // 2]] = 0.0
+        elif kind == 7:
+            v *= 1e-300
+        elif kind == 8:
+            v = rng.signs(n) * 5e-324 * (rng.permutation(4 * n)[:n] % 4)
+        elif kind == 9:
+            v *= 1e200
+        labels = rng.permutation(n) if trial % 2 else np.arange(n)
+        cases.append((labels, v))
+    return cases
+
+
+REGULARIZE_BATTERY = regularize_battery()
+
+
+def test_regularize_same_indices_as_reference():
+    with np.errstate(over="ignore"):
+        for trial, (labels, v) in enumerate(REGULARIZE_BATTERY):
+            got, want = regularize(labels, v), regularize_reference(labels, v)
+            assert got.dtype == want.dtype and np.array_equal(got, want), trial
+
+
+def test_battery_runs_every_regularize_line():
+    # a branch that no battery case reaches is a branch no case compares
+    code = greedy.regularize.__code__
+
+    def run_battery():
+        with np.errstate(over="ignore"):
+            for labels, v in REGULARIZE_BATTERY:
+                regularize(labels, v)
+        with pytest.raises(ValueError, match="nonempty"):
+            regularize([], [])
+
+    want = {line for _, line in dis.findlinestarts(code) if line is not None}
+    assert want - lines_run(code, run_battery) == set()
+
+
+def _report_instance(name):
+    """(A, u, s, adjoint) of a seeded instance the report pins run on."""
+    seed = stream_seed("report-pins", name)
+    m, d, s, family = {"gaussian": (64, 256, 8, "gaussian"),
+                       "partial-dct": (96, 256, 12, "partial_dct"),
+                       "romp-cap": (12, 48, 8, "gaussian"),
+                       "cosamp-cut": (7, 30, 3, "gaussian")}[name]
+    spec = EnsembleSpec(family, m, d, seed=seed)
+    A = gen_matrix(spec)
+    u = A @ gen_signal(SignalSpec(d, s, "compressible", seed=seed,
+                                  random_signs=True))
+    u += gen_noise(NoiseSpec(m, 0.05 * np.linalg.norm(u), seed=seed))
+    return A, u, s, fast_adjoint(spec)
+
+
+def report_sha256(rep):
+    """SHA-256 over a report's estimate, support, residual history, and
+    selection or estimate history, with each array's dtype and shape."""
+    parts = [rep.estimate, rep.support, np.array(rep.residual_history)]
+    parts += rep.selection_history or rep.estimate_history or []
+    h = hashlib.sha256(f"{rep.iterations} {rep.halt_reason}".encode())
+    for a in parts:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# recorded before ROMP and CoSaMP selected through ``top_k`` and
+# ``regularize`` found its runs with ``np.searchsorted``
+REPORT_SHA256 = {
+    ("romp", "gaussian"):
+        "9f27336e43fc3619cdea779b88717f5ec37da074ac3a95af76aa850102841f06",
+    ("romp", "partial-dct"):
+        "7d85e41c1250a52fa0b646c50196b1bdd1a760605fbaabfd1ecf50ee847fb577",
+    ("romp", "romp-cap"):
+        "4ffe641df600b59f0625540b2b85f897714ab32b7994ff8338169b9725105fc6",
+    ("cosamp", "gaussian"):
+        "cd58d0d14b842567618509f33748aebf4542f549315552bd3b8670be133d11e9",
+    ("cosamp", "partial-dct"):
+        "f12857434097e1bcc25efb2fa84db1060ce5b09180935178a7f409562981e016",
+    ("cosamp", "cosamp-cut"):
+        "e5d43bd09553603302a3446c719cd56310c418202959e552c192d7ae71a2d92f",
+}
+
+
+@pytest.mark.parametrize("algo, name", list(REPORT_SHA256))
+def test_report_bytes_pinned(algo, name, monkeypatch):
+    A, u, s, adjoint = _report_instance(name)
+    cuts = []
+    cap = greedy._cap_columns
+
+    def spy_cap(y, J, held, m):
+        kept = cap(y, J, held, m)
+        cuts.append(kept.size < J.size)
+        return kept
+
+    monkeypatch.setattr(greedy, "_cap_columns", spy_cap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        if algo == "romp":
+            rep = romp(A, u, s, adjoint=adjoint)
+        else:
+            rep = cosamp(A, u, CosampConfig(s, max_iters=12), adjoint=adjoint)
+    # the cap instances must reach the cut they are named for
+    assert any(cuts) == name.endswith(("cap", "cut"))
+    assert report_sha256(rep) == REPORT_SHA256[algo, name]
+
 
 class TestRomp:
     def test_orthogonal_first_pick_is_top_s(self):
@@ -273,6 +458,17 @@ class TestCosamp:
         rep = cosamp(np.eye(8), np.zeros(8), CosampConfig(2))
         assert rep.iterations == 0
         assert np.array_equal(rep.estimate, np.zeros(8))
+
+    def test_a_kept_zero_leaves_the_support(self):
+        # the fit on T = {0, 4} is exactly (1, 0): pruning to s = 2 keeps
+        # both, and the support holds only the nonzero one
+        A = np.array([[-1, 0, 0, -1, 1], [-1, 0, 0, 1, 0], [0, 1, 0, -1, 1]],
+                     dtype=float)
+        with pytest.warns(UserWarning, match="4s=8 > m=3"):
+            rep = cosamp(A, np.array([-1.0, -1.0, 0.0]),
+                         CosampConfig(2, max_iters=6))
+        assert list(rep.support) == [0] and rep.iterations == 1
+        assert rep.estimate.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_samples(self, bad):

@@ -12,6 +12,7 @@ from sparsekit.linalg import (
     LsConfig,
     _jacobi_eigenvalues,
     as_count,
+    as_indices,
     extreme_singular_values,
     least_squares,
     pseudoinverse_apply,
@@ -295,6 +296,16 @@ class TestPseudoinverseApply:
         with pytest.raises(ValueError, match="2-D"):
             pseudoinverse_apply(np.ones(3), [0], np.ones(3))
 
+    def test_fractional_support_rejected(self):
+        # truncated, it fit columns 0 and 1 and returned [1, 2, 0]
+        with pytest.raises(ValueError, match="whole numbers"):
+            pseudoinverse_apply(np.eye(3), [0.5, 1.7], [1.0, 2.0, 3.0])
+
+    def test_whole_float_support_fits_the_int_support(self):
+        x = pseudoinverse_apply(np.eye(3), [0.0, 2.0], [1.0, 2.0, 3.0])
+        assert x.tobytes() == pseudoinverse_apply(
+            np.eye(3), [0, 2], [1.0, 2.0, 3.0]).tobytes()
+
 
 class TestExtremeSingularValues:
     def test_identity_block(self):
@@ -346,6 +357,30 @@ class TestAsCount:
         assert as_count(0, "k", low=0) == 0
         with pytest.raises(ValueError, match="k must be a whole number >= 0"):
             as_count(-1, "k", low=0)
+
+
+class TestAsIndices:
+    @pytest.mark.parametrize("value", [
+        [3, 0], np.array([3, 0], dtype=np.int32), np.array([3, 0], dtype=np.uint8),
+        [3.0, 0.0], np.array([[3.0], [-0.0]])])
+    def test_whole_numbers_become_intp(self, value):
+        idx = as_indices(value, "rows")
+        assert idx.dtype == np.intp and idx.tolist() == [3, 0]
+
+    def test_empty_list_passes(self):
+        idx = as_indices([], "rows")
+        assert idx.dtype == np.intp and idx.size == 0
+
+    def test_intp_array_passes_without_a_copy(self):
+        # the check runs on every fit, so integer input costs a dtype test
+        idx = np.arange(5)
+        assert np.shares_memory(as_indices(idx, "rows"), idx)
+
+    @pytest.mark.parametrize("value", [[0.5], [1, np.nan], [np.inf], [-np.inf],
+                                       [1e30], [2.0**63]])
+    def test_everything_else_is_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match="^rows must hold whole numbers$"):
+            as_indices(value, "rows")
 
 
 class TestTopK:
