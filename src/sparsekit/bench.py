@@ -4,13 +4,11 @@ error-bound table.
 
 Every trial draws a fresh matrix and signal from a seed derived as
 ``stream_seed(master, algorithm, s, m, trial)``, so adding algorithms or
-reordering cells never perturbs existing results, and trials may execute
-on any number of worker threads with bit-identical output (results are
-reduced in trial order).
+reordering cells never perturbs existing results.  Trials run one at a
+time in the calling thread, in trial order.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,7 @@ from .ensembles import (
 from .greedy import CosampConfig, StompConfig, cosamp, cosamp_cap, omp, prune, romp, stomp
 from .kaczmarz import rk_solve
 from .linalg import as_count
-from .rng import stream_seed
+from .rng import as_seed, stream_seed
 
 ALGORITHMS = ("bp", "omp", "stomp", "romp", "cosamp", "rwl1")
 
@@ -54,13 +52,14 @@ class ExperimentGrid:
     noise_fraction: float = 0.0
     noise_mode: str = "measurement"
     success_threshold: float = SUCCESS_THRESHOLD
-    threads: int = 1
+    threads: int = 1            # accepted for compatibility; trials run serially
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         for name in ("d", "trials", "threads"):
             object.__setattr__(self, name, as_count(getattr(self, name), name))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         if self.noise_mode not in ("measurement", "signal"):
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
         if self.noise_norm and self.noise_fraction:
@@ -143,11 +142,6 @@ def _one_trial(grid, s, m, trial):
 
 
 def _map_trials(grid, s, m, worker=_one_trial):
-    if grid.threads > 1:
-        with ThreadPoolExecutor(max_workers=grid.threads) as pool:
-            futs = [pool.submit(worker, grid, s, m, t)
-                    for t in range(grid.trials)]
-            return [f.result() for f in futs]   # trial order, not finish order
     return [worker(grid, s, m, t) for t in range(grid.trials)]
 
 
@@ -182,10 +176,8 @@ def run_trend(grid, level=0.99):
     cells = run_phase_transition(grid)
     rows = []
     for m in grid.m_values:
-        best = 0
-        for c in cells:
-            if c["m"] == m and c["success_count"] >= level * c["trials"]:
-                best = max(best, c["s"])
+        best = max([0] + [c["s"] for c in cells if c["m"] == m
+                          and c["success_count"] >= level * c["trials"]])
         rows.append({
             "algo": grid.algorithm, "d": grid.d, "m": m,
             "s_max_tested": max(grid.s_values), "trials": grid.trials,

@@ -30,12 +30,9 @@ def _int_list(text):
     for part in text.split(","):
         if ":" in part:
             pieces = [int(p) for p in part.split(":")]
-            if len(pieces) == 2:
-                start, stop, step = pieces[0], pieces[1], 1
-            elif len(pieces) == 3:
-                start, stop, step = pieces
-            else:
+            if len(pieces) not in (2, 3):
                 raise argparse.ArgumentTypeError(f"bad range {part!r}")
+            start, stop, step = (pieces + [1])[:3]
             values.extend(range(start, stop + 1, step))
         else:
             values.append(int(part))
@@ -61,7 +58,8 @@ def _add_grid_flags(p):
     p.add_argument("--noise-mode", default="measurement",
                    choices=("measurement", "signal"))
     p.add_argument("--threshold", type=float, default=bench.SUCCESS_THRESHOLD)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="no effect, kept for compatibility: trials run serially")
 
 
 def _add_output_flags(p):

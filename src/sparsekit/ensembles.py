@@ -30,13 +30,12 @@ stored as a single row with ``rows=1``.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import as_count, as_indices
-from .rng import CounterRng, stream_seed
+from .rng import CounterRng, as_seed, stream_seed
 
 FAMILIES = ("gaussian", "bernoulli", "partial_dct")
 SIGNAL_KINDS = ("flat", "compressible")
@@ -59,6 +58,7 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble family {self.family!r}")
         for name in ("rows", "cols"):
             object.__setattr__(self, name, as_count(getattr(self, name), name))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         if self.family == "partial_dct" and self.rows > self.cols:
             raise ValueError("partial_dct requires rows <= cols")
 
@@ -77,6 +77,7 @@ class SignalSpec:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         object.__setattr__(self, "dim", as_count(self.dim, "dim"))
         object.__setattr__(self, "sparsity", as_count(self.sparsity, "sparsity", low=0))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         if self.sparsity > self.dim:
             raise ValueError("sparsity must lie in [0, dim]")
         if self.kind == "compressible" and not 0.0 < self.p < 1.0:
@@ -91,6 +92,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", as_count(self.dim, "dim"))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         if not 0 <= self.target_norm < math.inf:
             raise ValueError(f"noise level target_norm must be finite and "
                              f">= 0, got {self.target_norm}")
@@ -123,7 +125,6 @@ def dct_matrix(d, rows=None):
 
 
 _dct_cache = None                   # ((d, build), read-only matrix)
-_dct_lock = threading.Lock()
 
 
 def _full_dct(d, build):
@@ -132,19 +133,16 @@ def _full_dct(d, build):
 
     Callers pass ``dct_matrix`` as looked up at call time, so a wrapper
     bound over ``ensembles.dct_matrix`` (as the perfbench tracer does)
-    misses the cache once and sees the build it causes.  A miss builds under
-    a lock, so threads that miss together build once; a hit takes no lock.
+    misses the cache once and sees the build it causes.  The entry is set in
+    one assignment; threads that miss together each build the same bytes.
     """
     global _dct_cache
     key = (d, build)
     cached = _dct_cache
     if cached is None or cached[0] != key:
-        with _dct_lock:
-            cached = _dct_cache
-            if cached is None or cached[0] != key:
-                C = build(d)
-                C.flags.writeable = False
-                _dct_cache = cached = (key, C)
+        C = build(d)
+        C.flags.writeable = False
+        _dct_cache = cached = (key, C)
     return cached[1]
 
 
@@ -250,24 +248,21 @@ def gen_noise(spec):
 # ---------------------------------------------------------------------------
 # CSV interchange
 
-def _write_rows(fh, kind, arr2d, seed):
+def _write_rows(path, kind, arr2d, seed):
     rows, cols = arr2d.shape
-    fh.write(f"{kind},{rows},{cols},{seed}\n")
-    for row in arr2d:
-        fh.write(",".join(repr(float(v)) for v in row))
-        fh.write("\n")
+    with open(path, "w") as fh:
+        fh.write(f"{kind},{rows},{cols},{seed}\n")
+        for row in arr2d:
+            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write("\n")
 
 
 def save_matrix_csv(path, A, kind="matrix", seed=0):
-    A = np.asarray(A, dtype=float)
-    with open(path, "w") as fh:
-        _write_rows(fh, kind, A, seed)
+    _write_rows(path, kind, np.asarray(A, dtype=float), seed)
 
 
 def save_vector_csv(path, x, kind="signal", seed=0):
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    with open(path, "w") as fh:
-        _write_rows(fh, kind, x, seed)
+    _write_rows(path, kind, np.asarray(x, dtype=float).reshape(1, -1), seed)
 
 
 def load_csv(path):

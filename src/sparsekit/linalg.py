@@ -50,22 +50,28 @@ class LsConfig:
             raise ValueError("tol must be >= 0")
 
 
-def as_count(value, name, low=1):
-    """``int(value)`` for a whole number >= ``low`` (3.0 passes; NaN, inf and
-    2.5 do not), else ``ValueError``."""
+def is_whole(value, low=-math.inf):
+    """Whether ``value`` is a whole number >= ``low`` (3.0 is; 2.5, NaN, "3" not)."""
     try:
-        whole = value >= low and float(value).is_integer()
+        return bool(value >= low and float(value).is_integer())
     except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
+        return False
+
+
+def as_count(value, name, low=1):
+    """``int(value)`` for a whole number >= ``low``, else ``ValueError``."""
+    if not is_whole(value, low):
         raise ValueError(f"{name} must be a whole number >= {low}")
     return int(value)
 
 
 def as_indices(indices, name):
     """Flat intp ``indices``.  Integer input passes on its dtype alone; other
-    input must hold whole numbers in the intp range, else ``ValueError``."""
+    input must hold whole numbers in the intp range.  Anything else, a
+    boolean mask included, raises ``ValueError``."""
     idx = np.asarray(indices).reshape(-1)
+    if idx.dtype.kind == "b":
+        raise ValueError(f"{name} must be indices, not a boolean mask")
     if idx.dtype.kind in "iu":
         return idx.astype(np.intp, copy=False)
     whole = idx.astype(float)

@@ -10,7 +10,7 @@ purpose) are derived with :func:`stream_seed`, never with Python's salted
 
 import numpy as np
 
-from .linalg import as_count
+from .linalg import as_count, is_whole
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -61,12 +61,20 @@ def stream_seed(*tokens):
     return acc
 
 
+def as_seed(seed):
+    """``int(seed)`` for an integer of any size and sign (passed on its type
+    alone) or a whole float such as 3.0, else ``ValueError``."""
+    if isinstance(seed, (int, np.integer)) or is_whole(seed):
+        return int(seed)
+    raise ValueError("seed must be a whole number")
+
+
 class CounterRng:
-    """SplitMix64 stream positioned by an internal draw counter.  A count
-    that is not a whole number >= 0 raises ``ValueError`` and draws nothing."""
+    """SplitMix64 stream positioned by an internal draw counter.  A bad seed
+    (``as_seed``) or count raises ``ValueError`` and draws nothing."""
 
     def __init__(self, seed):
-        self._seed = np.uint64(int(seed) & _MASK)
+        self._seed = np.uint64(as_seed(seed) & _MASK)
         self._count = 0
 
     def raw(self, n):

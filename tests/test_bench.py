@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -61,6 +62,19 @@ class TestGrid:
             with pytest.raises(ValueError, match="must be a whole number >= 1"):
                 small_grid(**kwargs)
 
+    @pytest.mark.parametrize("seed", [2.5, "5", float("nan"), None],
+                             ids=["2.5", "str", "nan", "None"])
+    def test_seed_must_be_a_whole_number(self, seed):
+        # 2.5 constructed, and the first trial raised TypeError in stream_seed
+        with pytest.raises(ValueError, match="^seed must be a whole number$"):
+            small_grid(seed=seed)
+
+    def test_whole_float_seed_runs_the_int_seed(self):
+        grid = small_grid(seed=5.0, trials=2)
+        assert type(grid.seed) is int
+        assert (rows_to_csv(bench.run_phase_transition(grid))
+                == rows_to_csv(bench.run_phase_transition(small_grid(trials=2))))
+
     @pytest.mark.parametrize("threshold", [-1.0, -1e-12, float("nan")])
     def test_threshold_below_zero_rejected(self, threshold):
         with pytest.raises(ValueError, match="threshold"):
@@ -95,6 +109,18 @@ class TestPhaseTransition:
         rows1 = bench.run_phase_transition(small_grid(trials=6, threads=1))
         rows4 = bench.run_phase_transition(small_grid(trials=6, threads=4))
         assert rows_to_csv(rows1) == rows_to_csv(rows4)
+
+    def test_trials_run_in_order_in_the_calling_thread(self):
+        calls = []
+
+        def recorder(grid, s, m, trial):
+            calls.append((threading.get_ident(), trial))
+            return trial
+
+        got = bench._map_trials(small_grid(trials=6, threads=4), 2, 16,
+                                worker=recorder)
+        assert got == list(range(6))
+        assert calls == [(threading.get_ident(), t) for t in range(6)]
 
     def test_all_algorithms_run(self):
         for algo in bench.ALGORITHMS:

@@ -164,6 +164,11 @@ class TestDctRows:
         with pytest.raises(ValueError, match="rows must hold whole numbers"):
             dct_matrix(4, rows)
 
+    def test_boolean_mask_rejected(self):
+        # read as rows 1, 0, 1, 0, where numpy indexing reads rows 0 and 2
+        with pytest.raises(ValueError, match="^rows must be indices, not a boolean mask$"):
+            dct_matrix(4, [True, False, True, False])
+
     @pytest.mark.parametrize("m, d", [(16, 64), (64, 64), (16, 2048)])
     def test_writing_a_result_leaves_the_next_draw_unchanged(self, m, d):
         spec = EnsembleSpec("partial_dct", m, d, seed=5)
@@ -194,12 +199,10 @@ class TestDctRows:
             gen_matrix(EnsembleSpec("partial_dct", 16, 128, seed=seed))
         assert calls == [(128,)]
 
-    def test_threads_that_miss_together_build_once(self, monkeypatch):
-        # the slow build holds both threads inside the miss at once
-        calls = []
-
+    def test_threads_that_miss_together_get_the_serial_bytes(self, monkeypatch):
+        # the slow build holds both threads inside the miss at once; each may
+        # build the matrix, and both get the bytes of a serial draw
         def slow(*args):
-            calls.append(args)
             time.sleep(0.2)
             return dct_matrix(*args)
 
@@ -216,7 +219,6 @@ class TestDctRows:
             t.start()
         for t in threads:
             t.join()
-        assert calls == [(64,)]
         for i in range(2):
             spec = EnsembleSpec("partial_dct", 8, 64, seed=i)
             assert out[i].tobytes() == gen_matrix(spec).tobytes()
@@ -334,6 +336,42 @@ class TestNoise:
         spec = NoiseSpec(6.0, 1.0, seed=4)
         assert type(spec.dim) is int
         assert gen_noise(spec).tobytes() == gen_noise(NoiseSpec(6, 1.0, seed=4)).tobytes()
+
+
+class TestSeeds:
+    """Every spec takes a seed by the ``CounterRng`` rule at construction;
+    before, ``seed=2.5`` constructed and the first draw raised ``TypeError``
+    inside ``stream_seed``."""
+
+    SPECS = {
+        "ensemble": lambda seed: EnsembleSpec("gaussian", 2, 3, seed=seed),
+        "signal": lambda seed: SignalSpec(10, 2, seed=seed),
+        "noise": lambda seed: NoiseSpec(4, 1.0, seed=seed),
+    }
+    DRAW = {"ensemble": gen_matrix, "signal": gen_signal, "noise": gen_noise}
+
+    @pytest.mark.parametrize("kind", SPECS)
+    @pytest.mark.parametrize("seed", [2.5, "5", np.nan, np.inf, None],
+                             ids=["2.5", "str", "nan", "inf", "None"])
+    def test_rejected_at_construction(self, kind, seed):
+        with pytest.raises(ValueError, match="^seed must be a whole number$"):
+            self.SPECS[kind](seed)
+
+    @pytest.mark.parametrize("kind", SPECS)
+    @pytest.mark.parametrize("seed, same", [
+        (3.0, 3), (np.int64(3), 3), (np.float32(3.0), 3), (-1, -1),
+        (2**70 + 3, 2**70 + 3)])
+    def test_whole_numbers_draw_the_int_seed(self, kind, seed, same):
+        spec = self.SPECS[kind](seed)
+        assert type(spec.seed) is int
+        draw = self.DRAW[kind]
+        assert draw(spec).tobytes() == draw(self.SPECS[kind](same)).tobytes()
+
+    @pytest.mark.parametrize("kind", SPECS)
+    def test_seeds_fold_mod_2_64(self, kind):
+        draw = self.DRAW[kind]
+        assert (draw(self.SPECS[kind](2**64 + 5)).tobytes()
+                == draw(self.SPECS[kind](5)).tobytes())
 
 
 class TestCsv:

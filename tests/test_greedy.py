@@ -226,6 +226,11 @@ class TestRegularize:
         with pytest.raises(ValueError, match="whole numbers"):
             regularize(indices, [1.0, 2.0])
 
+    def test_boolean_mask_rejected(self):
+        # returned the labels 0 and 1
+        with pytest.raises(ValueError, match="boolean mask"):
+            regularize([True, False], [1.0, 1.0])
+
     def test_whole_float_indices_pass(self):
         J0 = regularize([4.0, 2.0], [1.0, 1.5])
         assert J0.dtype == np.intp and list(J0) == [2, 4]

@@ -12,6 +12,7 @@ from sparsekit.linalg import (
     LsConfig,
     _jacobi_eigenvalues,
     as_count,
+    as_index_set,
     as_indices,
     extreme_singular_values,
     least_squares,
@@ -381,6 +382,17 @@ class TestAsIndices:
     def test_everything_else_is_rejected_by_name(self, value):
         with pytest.raises(ValueError, match="^rows must hold whole numbers$"):
             as_indices(value, "rows")
+
+    @pytest.mark.parametrize("value", [[True, False, True], np.array([False]),
+                                       np.ones((2, 2), dtype=bool)])
+    def test_boolean_masks_are_rejected(self, value):
+        # read as 0s and 1s, where numpy indexing reads the True positions
+        with pytest.raises(ValueError, match="^rows must be indices, not a boolean mask$"):
+            as_indices(value, "rows")
+
+    def test_index_set_rejects_a_mask(self):
+        with pytest.raises(ValueError, match="boolean mask"):
+            as_index_set([False, True], 4)
 
 
 class TestTopK:

@@ -168,3 +168,30 @@ class TestBadCounts:
                 == CounterRng(4).normal(5).tobytes())
         assert (CounterRng(4).subset(9, 4.0).tobytes()
                 == CounterRng(4).subset(9, 4).tobytes())
+
+
+class TestSeeds:
+    """A seed is a whole number: any integer, of any size and sign, or a
+    whole float such as 3.0, folded mod 2**64.  Before, ``CounterRng(2.5)``
+    drew seed 2's stream and ``CounterRng("5")`` seed 5's."""
+
+    @pytest.mark.parametrize("seed", [2.5, "5", np.nan, np.inf, -np.inf,
+                                      None, np.ones(2), 1 + 0j],
+                             ids=["2.5", "str", "nan", "inf", "-inf", "None",
+                                  "array", "complex"])
+    def test_everything_but_whole_numbers_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a whole number$"):
+            CounterRng(seed)
+
+    @pytest.mark.parametrize("seed, same", [
+        (3.0, 3), (np.float32(3.0), 3), (np.int64(3), 3), (np.uint64(3), 3),
+        (-1, 2**64 - 1), (2**200 + 3, 3), (-(2**64) + 3, 3)])
+    def test_whole_numbers_fold_mod_2_64(self, seed, same):
+        assert CounterRng(seed).raw(4).tobytes() == CounterRng(same).raw(4).tobytes()
+
+    def test_integer_seeds_keep_their_bytes(self):
+        # first draws frozen before the rule came in
+        assert CounterRng(7).raw(2).tolist() == [7191089600892374487,
+                                                 309689372594955804]
+        assert CounterRng(-7).raw(2).tolist() == [7790691224305936752,
+                                                  8829294814793142954]
