@@ -261,6 +261,7 @@ def run_kaczmarz_study(m, n, trials, iters, noise_fraction, seed,
     if m < n:
         raise ValueError("need m >= n (overdetermined system)")
     trials = as_count(trials, "trials")
+    seed = as_seed(seed)
     rows = []
     x_true = np.zeros(n)
     for trial in range(trials):

@@ -56,6 +56,27 @@ def _max_step(pairs):
     return step
 
 
+def _solve(H, b):
+    """``H^-1 b``, or the least-squares answer when H is singular."""
+    try:
+        return np.linalg.solve(H, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(H, b, rcond=None)[0]
+
+
+def _trial_steps(step, z, t, dz, dt):
+    """The line search of both interior-point methods: of step, step/2, ...
+    (32 tries), yield ``(step, z', t', z' - t', -z' - t')`` where -t' < z' < t'."""
+    for _ in range(32):
+        zn = z + step * dz
+        tn = t + step * dt
+        f1n = zn - tn
+        f2n = -zn - tn
+        if np.all(f1n < 0) and np.all(f2n < 0):
+            yield step, zn, tn, f1n, f2n
+        step *= 0.5
+
+
 def _range_solvers(A):
     """``(least_norm, dual_least_squares)`` for an m x d matrix A:
     ``least_norm(r)`` is the minimum-norm least-squares solution of Az = r,
@@ -87,9 +108,10 @@ def _range_solvers(A):
 def bp_equality(A, u, weights=None):
     """Minimum (weighted) l1-norm solution of Az = u: l1-magic's ``l1eq_pd``
     on the recast min sum(t) s.t. -t <= z <= t, Az = u, with m x m Schur
-    solves.  A converged z is returned as is.  After a stalled line search
-    or BP_MAX_ITERS steps, z is restored onto {Az = u} and returned if it
-    meets the contract tolerances; otherwise ``SolverError`` says which."""
+    solves and the shared line search ``_trial_steps``.  A converged z is
+    returned as is.  After a stalled search or BP_MAX_ITERS steps, z is put
+    back onto {Az = u} and returned if it meets the contract tolerances;
+    otherwise ``SolverError`` says which."""
     A = as_matrix(A)
     m, d = A.shape
     u = as_vector(u, m, "u")
@@ -136,10 +158,7 @@ def bp_equality(A, u, weights=None):
 
         Hnu = (A / sigx[None, :]) @ A.T
         rhs_nu = A @ (w1p / sigx) + r_pri
-        try:
-            dnu = np.linalg.solve(Hnu, rhs_nu)
-        except np.linalg.LinAlgError:
-            dnu, *_ = np.linalg.lstsq(Hnu, rhs_nu, rcond=None)
+        dnu = _solve(Hnu, rhs_nu)
         dz = (w1p - A.T @ dnu) / sigx
         dt = (rhs_t - sig2 * dz) / sig1
         dlam1 = (lam1 / fu1) * (-dz + dt) - lam1 - 1.0 / (tau * fu1)
@@ -149,25 +168,17 @@ def bp_equality(A, u, weights=None):
         step = 0.99 * _max_step(((-lam1, -dlam1), (-lam2, -dlam2),
                                  (fu1, dz - dt), (fu2, -dz - dt)))
 
-        res_norm = np.linalg.norm(
-            residuals(fu1, fu2, lam1, lam2, Atnu, r_pri, tau))
-        for _ in range(32):
-            zn = z + step * dz
-            tn = t + step * dt
-            f1n = zn - tn
-            f2n = -zn - tn
+        res_norm = np.linalg.norm(residuals(fu1, fu2, lam1, lam2, Atnu, r_pri, tau))
+        for step, zn, tn, f1n, f2n in _trial_steps(step, z, t, dz, dt):
             l1n = lam1 + step * dlam1
             l2n = lam2 + step * dlam2
             nun = nu + step * dnu
-            if np.all(f1n < 0) and np.all(f2n < 0):
-                r_pri_n = A @ zn - u
-                Atnu_n = A.T @ nun
-                new_res = residuals(f1n, f2n, l1n, l2n, Atnu_n, r_pri_n, tau)
-                if np.linalg.norm(new_res) <= (1 - 0.01 * step) * res_norm:
-                    break
-            step *= 0.5
-        else:
-            # no further progress in double precision
+            r_pri_n = A @ zn - u
+            Atnu_n = A.T @ nun
+            new_res = residuals(f1n, f2n, l1n, l2n, Atnu_n, r_pri_n, tau)
+            if np.linalg.norm(new_res) <= (1 - 0.01 * step) * res_norm:
+                break
+        else:  # no further progress in double precision
             reason = "interior-point line search stalled"
             break
         z, t, fu1, fu2, lam1, lam2, nu = zn, tn, f1n, f2n, l1n, l2n, nun
@@ -237,8 +248,8 @@ def _newton_matrix(AtA, atr, sigx, fe, H, B):
 
 
 def _qc_newton(A, AtA, u, eps, z, t, tau):
-    """Newton steps of one barrier stage at weight tau; returns the last
-    accepted (z, t).
+    """Newton steps of one barrier stage at weight tau, each through the
+    shared line search ``_trial_steps``; returns the last accepted (z, t).
 
     The d x d Newton matrix is built in place, into two column-major
     buffers allocated once per call, so a step makes no d x d temporary of
@@ -273,10 +284,7 @@ def _qc_newton(A, AtA, u, eps, z, t, tau):
 
         H11p = _newton_matrix(AtA, atr, sigx, fe, H, B)
         w1p = ntgz - (sig12 / sig11) * ntgt
-        try:
-            dz = np.linalg.solve(H11p, w1p)
-        except np.linalg.LinAlgError:
-            dz, *_ = np.linalg.lstsq(H11p, w1p, rcond=None)
+        dz = _solve(H11p, w1p)
         dt = (ntgt - sig12 * dz) / sig11
 
         # decrement uses the gradient (= -[ntgz; ntgt]) against the step
@@ -298,19 +306,12 @@ def _qc_newton(A, AtA, u, eps, z, t, tau):
             step = min(step, -q0 / (2 * q1))
         step *= 0.99
 
-        grad_dot = -decrement
-        for _ in range(32):
-            zn = z + step * dz
-            tn = t + step * dt
+        for step, zn, tn, f1n, f2n in _trial_steps(step, z, t, dz, dt):
             rn = A @ zn - u
-            f1n = zn - tn
-            f2n = -zn - tn
             fen = 0.5 * (rn @ rn - eps**2)
-            if np.all(f1n < 0) and np.all(f2n < 0) and fen < 0:
-                fnew = value(tn, f1n, f2n, fen)
-                if fnew <= fval + 0.01 * step * grad_dot:
-                    break
-            step *= 0.5
+            fnew = value(tn, f1n, f2n, fen) if fen < 0 else np.nan
+            if fnew <= fval - 0.01 * step * decrement:
+                break
         else:
             break  # no further progress possible at this barrier weight
         z, t, r, fu1, fu2, fe, fval = zn, tn, rn, f1n, f2n, fen, fnew
@@ -354,7 +355,6 @@ def reweighted_l1(A, u, cfg=None):
     weights = np.ones(d)
     estimates = []
     residuals = []
-    x = np.zeros(d)
     for k in range(1, cfg.max_iters + 1):
         x = bp_denoise(A, u, cfg.epsilon, weights=weights)
         estimates.append(x.copy())

@@ -29,6 +29,7 @@ separated values printed with full round-trip precision.  Vectors are
 stored as a single row with ``rows=1``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,26 +125,19 @@ def dct_matrix(d, rows=None):
     return C
 
 
-_dct_cache = None                   # ((d, build), read-only matrix)
-
-
+@functools.lru_cache(maxsize=1)
 def _full_dct(d, build):
     """The read-only d x d DCT-II matrix ``build(d)``, kept until another
     (d, build) asks for one.
 
     Callers pass ``dct_matrix`` as looked up at call time, so a wrapper
     bound over ``ensembles.dct_matrix`` (as the perfbench tracer does)
-    misses the cache once and sees the build it causes.  The entry is set in
-    one assignment; threads that miss together each build the same bytes.
+    misses the cache once and sees the build it causes.  Threads that miss
+    together each build the same bytes.
     """
-    global _dct_cache
-    key = (d, build)
-    cached = _dct_cache
-    if cached is None or cached[0] != key:
-        C = build(d)
-        C.flags.writeable = False
-        _dct_cache = cached = (key, C)
-    return cached[1]
+    C = build(d)
+    C.flags.writeable = False
+    return C
 
 
 def _dct_rows(spec):

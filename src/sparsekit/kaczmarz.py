@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_count, as_matrix, as_vector, extreme_singular_values
-from .rng import CounterRng, stream_seed
+from .rng import CounterRng, as_seed, stream_seed
 
 
 @dataclass
@@ -27,21 +27,25 @@ def rk_theory(A, residual=None):
     """The convergence constant R and the noise level gamma.
 
     R = ||A^-1||^2 ||A||_F^2 with ||A^-1|| = 1/sigma_min(A);
-    gamma = max_i |r_i| / ||a_i||_2 (0 when no residual is given).
+    gamma = max_i |r_i| / ||a_i||_2 (0 when no residual is given).  An A
+    whose ||a_i||^2, ||A||_F^2 or A'A overflows raises ``ValueError``.
     """
     A = as_matrix(A)
-    row_norms = np.linalg.norm(A, axis=1)
+    with np.errstate(over="ignore"):
+        row_norms = np.linalg.norm(A, axis=1)
+        frob2 = float(np.sum(A**2))
     if np.any(row_norms == 0):
         raise ValueError("matrix has a zero row")
+    if frob2 == np.inf or not np.isfinite(row_norms).all():
+        raise ValueError("the squared norms of A overflow; rescale A")
     smin, smax = extreme_singular_values(A)
     if smin <= 1e-12 * max(smax, 1.0):
         raise ValueError("matrix is rank deficient; R is undefined")
-    R = float(np.sum(A**2)) / smin**2
-    gamma = 0.0
-    if residual is not None:
-        r = as_vector(residual, A.shape[0], "residual")
-        gamma = float(np.max(np.abs(r) / row_norms))
-    return R, gamma
+    R = frob2 / smin**2
+    if residual is None:
+        return R, 0.0
+    r = as_vector(residual, A.shape[0], "residual")
+    return R, float(np.max(np.abs(r) / row_norms))
 
 
 def rk_solve(A, b, x0, iters, seed=0, log_stride=1, x_ref=None):
@@ -63,7 +67,7 @@ def rk_solve(A, b, x0, iters, seed=0, log_stride=1, x_ref=None):
         raise ValueError("matrix has a zero row")
     cum = np.cumsum(weights)
 
-    rng = CounterRng(stream_seed(seed, "kaczmarz"))
+    rng = CounterRng(stream_seed(as_seed(seed), "kaczmarz"))
     picks = rng.uniform(iters) * cum[-1]
     rows = np.searchsorted(cum, picks, side="right")
 

@@ -12,6 +12,7 @@ whatever d, m, r and the trial count.  Each spectrum is computed on its own
 and the first maximiser is kept, so b never changes a result.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_count, as_matrix
-from .rng import BATCH_BYTES, CounterRng, stream_seed, stream_subsets
+from .rng import BATCH_BYTES, CounterRng, as_seed, stream_seed, stream_subsets
 
 
 ENUMERATION_CAP = 2_000_000
@@ -124,6 +125,7 @@ def ric_monte_carlo(A, r, trials, seed=0):
     if r > d:
         raise ValueError(f"order r={r} out of range for {d} columns")
     trials = as_count(trials, "trials")
+    seed = as_seed(seed)
     b = _batch(m, d, r)
     if math.comb(d, r) <= trials:
         chunks = _support_chunks(d, r, b)
@@ -143,13 +145,10 @@ def check_ric_consequences(A, s, trials=200, seed=0):
     m, d = A.shape
     if not 1 <= 2 * s <= d:
         raise ValueError("need 1 <= 2s <= d")
-    eps = ric_exact(A, 2 * s).delta
-    exact = {2 * s: eps}
-
-    def delta_at(r):
-        if r not in exact:
-            exact[r] = ric_exact(A, r).delta
-        return exact[r]
+    trials = as_count(trials, "trials")
+    seed = as_seed(seed)
+    delta_at = functools.cache(lambda r: ric_exact(A, r).delta)
+    eps = delta_at(2 * s)
 
     rng = CounterRng(stream_seed(seed, "ric-consequences"))
     ratios = {k: 0.0 for k in (

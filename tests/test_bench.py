@@ -252,6 +252,17 @@ class TestKaczmarzStudy:
                                         curve=True, log_stride=25)
         assert {r["iteration"] for r in rows if r["trial"] == 0} == {0, 25, 50, 75, 100}
 
+    def test_whole_float_seed_runs_the_int_seed(self):
+        rows = bench.run_kaczmarz_study(30, 6, 2, 100, 0.05, seed=3.0)
+        assert rows_to_csv(rows) == rows_to_csv(
+            bench.run_kaczmarz_study(30, 6, 2, 100, 0.05, seed=3))
+        assert all(type(r["seed"]) is int for r in rows)
+
+    @pytest.mark.parametrize("seed", [2.5, np.nan, "3"])
+    def test_seed_must_be_a_whole_number(self, seed):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            bench.run_kaczmarz_study(10, 5, 1, 10, 0.0, seed)
+
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError):
             bench.run_kaczmarz_study(5, 10, 1, 10, 0.0, 0)

@@ -14,6 +14,8 @@ from sparsekit.convex import (
     _max_step,
     _newton_matrix,
     _range_solvers,
+    _solve,
+    _trial_steps,
     bp_denoise,
     bp_equality,
     reweighted_l1,
@@ -263,7 +265,7 @@ class TestBpDenoise:
 
     @pytest.mark.xfail(strict=True, reason=(
         "barrier stages stall at MAX_NEWTON on this instance, leaving the "
-        "answer about 2e-2 from optimality (ROADMAP item 1)"))
+        "answer about 2e-2 from optimality (ROADMAP item 8)"))
     def test_kkt_certificate_stalled_instance(self):
         assert self.kkt_certificate(2) <= 1e-5
 
@@ -370,6 +372,67 @@ class TestMaxStep:
         neg = dlam < 0
         want = min(1.0, float(np.min(lam[neg] / -dlam[neg])))
         assert _max_step(((-lam, -dlam),)).hex() == want.hex()
+
+
+class TestSolve:
+    """``_solve``: the Schur and Newton solves with their lstsq fallback."""
+
+    def test_regular_matrix_takes_solve(self):
+        H = np.array([[4.0, 1.0], [1.0, 3.0]])
+        b = np.array([1.0, 2.0])
+        assert _solve(H, b).tobytes() == np.linalg.solve(H, b).tobytes()
+
+    def test_singular_matrix_takes_lstsq(self):
+        H = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        b = np.array([1.0, 3.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(H, b)
+        want = np.linalg.lstsq(H, b, rcond=None)[0]
+        assert _solve(H, b).tobytes() == want.tobytes()
+
+
+class TestTrialSteps:
+    """``_trial_steps``: the backtracking line search of both solvers."""
+
+    def test_feasible_direction_yields_every_halving(self):
+        z, t = np.array([0.5, -0.25]), np.ones(2)
+        dz, dt = np.zeros(2), np.zeros(2)
+        tries = list(_trial_steps(0.7, z, t, dz, dt))
+        assert [s for s, *_ in tries] == [0.7 * 2.0**-k for k in range(32)]
+
+    def test_infeasible_tries_are_skipped(self):
+        # z' - t' = 4 step - 1 < 0 holds from step = 1/8 on
+        z, t = np.zeros(3), np.ones(3)
+        dz, dt = np.array([4.0, 0.0, -1.0]), np.zeros(3)
+        tries = list(_trial_steps(1.0, z, t, dz, dt))
+        assert [s for s, *_ in tries] == [2.0**-k for k in range(3, 32)]
+        for step, zn, tn, f1n, f2n in tries:
+            assert zn.tobytes() == (z + step * dz).tobytes()
+            assert tn.tobytes() == (t + step * dt).tobytes()
+            assert f1n.tobytes() == (zn - tn).tobytes()
+            assert f2n.tobytes() == (-zn - tn).tobytes()
+
+    def test_direction_infeasible_at_every_try_yields_nothing(self):
+        # t' = -step < 0 at every step: the search stalls
+        z, t = np.zeros(2), np.zeros(2)
+        assert list(_trial_steps(1.0, z, t, np.zeros(2), -np.ones(2))) == []
+
+    @pytest.mark.parametrize("solve", [
+        lambda A, u: bp_equality(A, u),
+        lambda A, u: bp_denoise(A, u, 0.1 * float(np.linalg.norm(u))),
+    ], ids=["bp_equality", "bp_denoise"])
+    def test_both_solvers_search_through_it(self, monkeypatch, solve):
+        A = gen_matrix(EnsembleSpec("gaussian", 16, 32, seed=50))
+        u = A @ gen_signal(SignalSpec(32, 3, seed=51, random_signs=True))
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return _trial_steps(*args)
+
+        monkeypatch.setattr(convex, "_trial_steps", counting)
+        solve(A, u)
+        assert len(calls) > 5
 
 
 class TestReweighted:

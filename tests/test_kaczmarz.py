@@ -39,6 +39,22 @@ class TestTheory:
         with pytest.raises(ValueError, match="overflow"):
             rk_theory(A)
 
+    def test_row_norm_overflow_rejected_while_the_gram_matrix_is_finite(self):
+        # ||a_0||^2 = 2 a^2 overflows; every entry of A'A is a^2 +- 1
+        a = np.sqrt(0.9 * np.finfo(float).max)
+        A = np.array([[a, a], [1.0, -1.0]])
+        assert np.isfinite(A.T @ A).all()
+        with pytest.raises(ValueError, match="overflow"):
+            rk_theory(A, residual=np.ones(2))
+
+    def test_frobenius_overflow_rejected_while_row_norms_are_finite(self):
+        # rows and columns of a * H (H a 4 x 4 Hadamard) have squared norm
+        # 4 a^2 < max, but ||A||_F^2 = 16 a^2 overflows
+        H = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        A = np.sqrt(0.1 * np.finfo(float).max) * H
+        with pytest.raises(ValueError, match="overflow"):
+            rk_theory(A, residual=np.ones(4))
+
 
 class TestSolve:
     def test_fixed_point(self):
@@ -111,6 +127,19 @@ class TestSolve:
         with pytest.raises(ValueError, match="must be a whole number >="):
             rk_solve(np.eye(3), np.ones(3), np.zeros(3), args["iters"],
                      log_stride=args["log_stride"], x_ref=np.zeros(3))
+
+    def test_whole_float_seed_runs_the_int_seed(self):
+        A = CounterRng(11).normal(60).reshape(12, 5)
+        b = CounterRng(12).normal(12)
+        r1 = rk_solve(A, b, np.zeros(5), 200, seed=3.0)
+        r2 = rk_solve(A, b, np.zeros(5), 200, seed=3)
+        assert r1.final_estimate.tobytes() == r2.final_estimate.tobytes()
+        assert r1.rows_visited.tobytes() == r2.rows_visited.tobytes()
+
+    @pytest.mark.parametrize("seed", [2.5, np.nan, "3"])
+    def test_seed_must_be_a_whole_number(self, seed):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            rk_solve(np.eye(3), np.ones(3), np.zeros(3), 10, seed=seed)
 
     def test_seeded_determinism(self):
         A = CounterRng(11).normal(60).reshape(12, 5)

@@ -118,6 +118,22 @@ class TestRicMonteCarlo:
         with pytest.raises(ValueError, match="order r=11 out of range"):
             ric_exact(A, 11)
 
+    @pytest.mark.parametrize("trials", [50, math.comb(10, 2)],
+                             ids=["sampled", "enumerated"])
+    def test_whole_float_seed_runs_the_int_seed(self, trials):
+        A = gen_matrix(EnsembleSpec("gaussian", 6, 10, seed=12))
+        r1 = ric_monte_carlo(A, 2, trials=trials, seed=3.0)
+        r2 = ric_monte_carlo(A, 2, trials=trials, seed=3)
+        assert (r1.delta, r1.witness.tolist()) == (r2.delta, r2.witness.tolist())
+
+    @pytest.mark.parametrize("trials", [50, math.comb(10, 2)],
+                             ids=["sampled", "enumerated"])
+    @pytest.mark.parametrize("seed", [2.5, np.nan, "3"])
+    def test_seed_must_be_a_whole_number(self, seed, trials):
+        A = gen_matrix(EnsembleSpec("gaussian", 6, 10, seed=12))
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            ric_monte_carlo(A, 2, trials=trials, seed=seed)
+
     def test_lower_bounds_exact(self):
         A = gen_matrix(EnsembleSpec("gaussian", 10, 14, seed=11))
         exact = ric_exact(A, 3).delta
@@ -211,6 +227,24 @@ class TestConsequences:
         checks = check_ric_consequences(A, 2, trials=100, seed=6)
         for name, c in checks.items():
             assert c.passed, f"{name} violated: worst ratio {c.worst_ratio}"
+
+    def test_whole_float_seed_runs_the_int_seed(self):
+        A = gen_matrix(EnsembleSpec("gaussian", 6, 10, seed=13))
+        assert (check_ric_consequences(A, 2, trials=20, seed=3.0)
+                == check_ric_consequences(A, 2, trials=20, seed=3))
+
+    @pytest.mark.parametrize("seed", [2.5, np.nan, "3"])
+    def test_seed_must_be_a_whole_number(self, seed):
+        A = gen_matrix(EnsembleSpec("gaussian", 6, 10, seed=13))
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            check_ric_consequences(A, 2, trials=20, seed=seed)
+
+    @pytest.mark.parametrize("trials", [-1, 0, 2.5, np.nan])
+    def test_trials_must_be_a_whole_number(self, trials):
+        # trials=-1 used to report every check passed over an empty battery
+        A = gen_matrix(EnsembleSpec("gaussian", 6, 10, seed=13))
+        with pytest.raises(ValueError, match="trials must be a whole number"):
+            check_ric_consequences(A, 2, trials=trials)
 
     def test_order_scaling_on_exact_values(self):
         A = gen_matrix(EnsembleSpec("gaussian", 8, 10, seed=14))
