@@ -66,8 +66,11 @@ class ExperimentGrid:
             raise ValueError("give noise_norm or noise_fraction, not both")
         if not self.success_threshold >= 0:
             raise ValueError("success_threshold must be >= 0")
-        if not self.m_values or not self.s_values:
-            raise ValueError("m_values and s_values must be non-empty")
+        for name, low in (("m_values", 1), ("s_values", 0)):
+            values = tuple(as_count(v, name, low) for v in getattr(self, name))
+            if not values:
+                raise ValueError("m_values and s_values must be non-empty")
+            object.__setattr__(self, name, values)
         for m in self.m_values:
             if m > self.d:
                 # level 3: past the dataclass-generated __init__ to its caller

@@ -23,19 +23,28 @@ class KaczmarzRun:
     rows_visited: np.ndarray = field(repr=False)
 
 
+def _check_rows(A, norms):
+    """``ValueError`` where an entry of ``norms`` (the row norms of A or
+    their squares) is 0: a zero row, or else a square that underflowed."""
+    if np.any(norms == 0):
+        if np.all(np.any(A, axis=1)):
+            raise ValueError("the squared norms of A underflow; rescale A")
+        raise ValueError("matrix has a zero row")
+
+
 def rk_theory(A, residual=None):
     """The convergence constant R and the noise level gamma.
 
     R = ||A^-1||^2 ||A||_F^2 with ||A^-1|| = 1/sigma_min(A);
     gamma = max_i |r_i| / ||a_i||_2 (0 when no residual is given).  An A
-    whose ||a_i||^2, ||A||_F^2 or A'A overflows raises ``ValueError``.
+    whose ||a_i||^2, ||A||_F^2 or A'A overflows, or with an ||a_i||^2 that
+    underflows to 0, raises ``ValueError``.
     """
     A = as_matrix(A)
     with np.errstate(over="ignore"):
         row_norms = np.linalg.norm(A, axis=1)
         frob2 = float(np.sum(A**2))
-    if np.any(row_norms == 0):
-        raise ValueError("matrix has a zero row")
+    _check_rows(A, row_norms)
     if frob2 == np.inf or not np.isfinite(row_norms).all():
         raise ValueError("the squared norms of A overflow; rescale A")
     smin, smax = extreme_singular_values(A)
@@ -53,8 +62,9 @@ def rk_solve(A, b, x0, iters, seed=0, log_stride=1, x_ref=None):
 
     When ``x_ref`` is given, ||x_k - x_ref|| is logged at iteration 0,
     every ``log_stride`` (>= 1) iterations, and at the final iterate.  Any
-    A without zero rows is accepted, including wide or rank-deficient ones;
-    callers that need the constants of the error bound call ``rk_theory``.
+    A is accepted, wide or rank-deficient ones included, whose squared row
+    norms are positive and sum to a finite double; callers that need the
+    constants of the error bound call ``rk_theory``.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -62,10 +72,12 @@ def rk_solve(A, b, x0, iters, seed=0, log_stride=1, x_ref=None):
     x = as_vector(x0, n, "x0").copy()
     iters = as_count(iters, "iters", low=0)
     log_stride = as_count(log_stride, "log_stride")
-    weights = np.einsum("ij,ij->i", A, A)
-    if np.any(weights == 0):
-        raise ValueError("matrix has a zero row")
-    cum = np.cumsum(weights)
+    with np.errstate(over="ignore"):
+        weights = np.einsum("ij,ij->i", A, A)
+        cum = np.cumsum(weights)
+    _check_rows(A, weights)
+    if cum[-1] == np.inf:
+        raise ValueError("the squared norms of A overflow; rescale A")
 
     rng = CounterRng(stream_seed(as_seed(seed), "kaczmarz"))
     picks = rng.uniform(iters) * cum[-1]

@@ -59,8 +59,9 @@ def is_whole(value, low=-math.inf):
 
 
 def as_count(value, name, low=1):
-    """``int(value)`` for a whole number >= ``low``, else ``ValueError``."""
-    if not is_whole(value, low):
+    """``int(value)`` for a whole number >= ``low``, else ``ValueError``;
+    a boolean is not a count."""
+    if isinstance(value, (bool, np.bool_)) or not is_whole(value, low):
         raise ValueError(f"{name} must be a whole number >= {low}")
     return int(value)
 

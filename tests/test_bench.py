@@ -62,6 +62,24 @@ class TestGrid:
             with pytest.raises(ValueError, match="must be a whole number >= 1"):
                 small_grid(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"m_values": (2.5,)}, {"m_values": (16, float("nan"))},
+        {"m_values": (0,)}, {"m_values": (True,)}, {"s_values": (1.5,)},
+        {"s_values": (-1,)}, {"s_values": ("2",)}, {"s_values": (False,)},
+    ])
+    def test_cells_must_be_whole_numbers(self, kwargs):
+        # ExperimentGrid("omp", 16, (2.5,), (1,)) used to build, and its
+        # first trial raised TypeError from stream_seed
+        with pytest.raises(ValueError, match="must be a whole number >="):
+            small_grid(**kwargs)
+
+    def test_whole_float_cells_run_the_int_cells(self):
+        grid = small_grid(m_values=[16.0], s_values=np.array([2.0]), trials=2)
+        assert grid.m_values == (16,) and grid.s_values == (2,)
+        assert all(type(v) is int for v in grid.m_values + grid.s_values)
+        assert (rows_to_csv(bench.run_phase_transition(grid))
+                == rows_to_csv(bench.run_phase_transition(small_grid(trials=2))))
+
     @pytest.mark.parametrize("seed", [2.5, "5", float("nan"), None],
                              ids=["2.5", "str", "nan", "None"])
     def test_seed_must_be_a_whole_number(self, seed):

@@ -11,6 +11,7 @@ from sparsekit.convex import (
     InfeasibleError,
     RwConfig,
     SolverError,
+    _certified_vertex,
     _max_step,
     _newton_matrix,
     _range_solvers,
@@ -46,6 +47,13 @@ class TestBpEquality:
     def test_zero_samples(self):
         A = gen_matrix(EnsembleSpec("gaussian", 4, 9, seed=7))
         assert np.array_equal(bp_equality(A, np.zeros(4)), np.zeros(9))
+
+    def test_no_rows(self):
+        # raised numpy's "zero-size array to reduction operation"
+        assert np.array_equal(bp_equality(np.zeros((0, 4)), np.zeros(0)),
+                              np.zeros(4))
+        assert np.array_equal(bp_denoise(np.zeros((0, 4)), np.zeros(0), 0.0),
+                              np.zeros(4))
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
@@ -166,22 +174,31 @@ class TestBpEquality:
 
 
 class TestBpEqualityBytes:
-    """SHA-256 of ``bp_equality``'s answer on four seeded instances.
+    """SHA-256 of ``bp_equality``'s answer on four seeded instances, and its
+    largest distance to the answer it should give.
 
     The benchmark compares convex cells only to 1e-3 relative, so these
     pins are what notice a changed bit in the interior-point steps: on a C-
     and an F-ordered A, in the weighted route, and on the SVD ``lstsq``
-    fallback of a nearly singular AA^T.  The hashes hold for
-    the one OpenBLAS thread that ``conftest.py`` pins unless the environment
-    sets another count; more threads split the Schur product's sums."""
+    fallback of a nearly singular AA^T.  The first three leave through the
+    certified refit (``_certified_vertex``), so they share its answer to
+    rounding; the last is never certified and ends at the interior-point
+    tolerances.  The hashes hold for the one OpenBLAS thread that
+    ``conftest.py`` pins unless the environment sets another count; more
+    threads split the products' sums."""
 
     SHA256 = {
-        "gaussian": "8b8f0f1d89bfe57d666f55ff87373a7f7c56968e30f7e3bc59f52b3eb3f8296a",
-        "fortran": "1f7085564e4ad1110e663e9baa7a70c032a685aef9b742d99b3ac84c28f43798",
-        "weighted": "0ef458a5a5e715da7b2589015ca12be2496e5a6c090e61563e000d1f951e691d",
+        "gaussian": "31449f90d7353a2e1d61aab691803f054530be8b1dba9befd368c12fe2d10dd9",
+        "fortran": "31449f90d7353a2e1d61aab691803f054530be8b1dba9befd368c12fe2d10dd9",
+        "weighted": "b859963469091229d1c521f4b60cf8cd93a7978b61691aec708044b32e438c24",
         "nearly-repeated-row":
             "46c2884ead4b66be1d4c33dddcdd72a1af65ac254f21a22e1a7fb6e0dbd28fa5",
     }
+    # max |z - x| against the planted 16-sparse signal (the three 128 x 256
+    # instances) or l1_vertex_oracle (the 6 x 12 one).  The answers before
+    # the certified exit were 9.1e-12, 6.7e-11 and 5.5e-12 from the signal.
+    DISTANCE = {"gaussian": 1e-14, "fortran": 1e-14, "weighted": 1e-14,
+                "nearly-repeated-row": 2e-9}
 
     @staticmethod
     def instance(name):
@@ -202,6 +219,16 @@ class TestBpEqualityBytes:
     def test_same_bytes(self, name):
         z = bp_equality(*self.instance(name))
         assert hashlib.sha256(z.tobytes()).hexdigest() == self.SHA256[name]
+
+    @pytest.mark.parametrize("name", list(DISTANCE))
+    def test_distance_to_the_optimum(self, name):
+        A, u, weights = self.instance(name)
+        if name == "nearly-repeated-row":
+            want, unique = l1_vertex_oracle(A, u)
+            assert unique
+        else:
+            want = gen_signal(SignalSpec(256, 16, seed=stream_seed("bp-bytes-sig", 0)))
+        assert np.max(np.abs(bp_equality(A, u, weights) - want)) <= self.DISTANCE[name]
 
     def test_fallback_instance_takes_lstsq(self):
         A, _, _ = self.instance("nearly-repeated-row")
@@ -417,11 +444,8 @@ class TestTrialSteps:
         z, t = np.zeros(2), np.zeros(2)
         assert list(_trial_steps(1.0, z, t, np.zeros(2), -np.ones(2))) == []
 
-    @pytest.mark.parametrize("solve", [
-        lambda A, u: bp_equality(A, u),
-        lambda A, u: bp_denoise(A, u, 0.1 * float(np.linalg.norm(u))),
-    ], ids=["bp_equality", "bp_denoise"])
-    def test_both_solvers_search_through_it(self, monkeypatch, solve):
+    @pytest.mark.parametrize("solver", ["bp_equality", "bp_denoise"])
+    def test_both_solvers_search_through_it(self, monkeypatch, solver):
         A = gen_matrix(EnsembleSpec("gaussian", 16, 32, seed=50))
         u = A @ gen_signal(SignalSpec(32, 3, seed=51, random_signs=True))
         calls = []
@@ -431,8 +455,87 @@ class TestTrialSteps:
             return _trial_steps(*args)
 
         monkeypatch.setattr(convex, "_trial_steps", counting)
-        solve(A, u)
-        assert len(calls) > 5
+        if solver == "bp_denoise":
+            bp_denoise(A, u, 0.1 * float(np.linalg.norm(u)))
+            assert len(calls) > 5
+            return
+        # the certified exit ends this instance after 4 searches
+        certificates = record_certificates(monkeypatch)
+        z = bp_equality(A, u)
+        assert len(calls) >= 1
+        assert z.tobytes() == certificates[-1][1].tobytes()
+
+
+def record_certificates(monkeypatch):
+    """Wrap ``convex._certified_vertex``; the returned list gets one
+    ``(args, answer)`` per call."""
+    calls = []
+
+    def recording(*args):
+        calls.append((args, _certified_vertex(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(convex, "_certified_vertex", recording)
+    return calls
+
+
+class TestCertifiedVertex:
+    """``_certified_vertex``: bp_equality's exit through a refit on the
+    iterate's support, guarded by a strictly feasible dual point."""
+
+    @staticmethod
+    def instance(seed):
+        A = gen_matrix(EnsembleSpec("gaussian", 32, 64, seed=stream_seed("certified", seed)))
+        x = gen_signal(SignalSpec(64, 5, seed=stream_seed("certified-sig", seed),
+                                  random_signs=True))
+        return A, x
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_returns_the_exact_vertex_after_a_few_steps(self, monkeypatch, seed):
+        A, x = self.instance(seed)
+        certificates = record_certificates(monkeypatch)
+        z = bp_equality(A, A @ x)
+        answers = [answer for _, answer in certificates]
+        # every step before the last was refused, the last accepted
+        assert all(answer is None for answer in answers[:-1])
+        assert 1 <= len(answers) <= 8
+        assert z.tobytes() == answers[-1].tobytes()
+        assert np.array_equal(np.flatnonzero(z), np.flatnonzero(x))
+        assert np.max(np.abs(z - x)) <= 1e-15
+
+    def test_none_when_the_support_misses_an_entry(self, monkeypatch):
+        A, x = self.instance(0)
+        certificates = record_certificates(monkeypatch)
+        bp_equality(A, A @ x)
+        (_, u, z, t, nu, uscale), answer = certificates[-1]
+        assert answer is not None
+        for i in np.flatnonzero(x):
+            missing = z.copy()
+            missing[i] = 0.0
+            assert _certified_vertex(A, u, missing, t, nu, uscale) is None
+
+    def test_none_for_a_non_unique_optimum(self, monkeypatch):
+        # test_rank_deficient_feasible: columns 0 and 2 are equal, so every
+        # split of 1 between them is optimal
+        A = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+        u = np.array([1.0, 1.0])
+        certificates = record_certificates(monkeypatch)
+        np.testing.assert_allclose(bp_equality(A, u), [0.5, 0.0, 0.5], atol=1e-8)
+        assert certificates and all(answer is None for _, answer in certificates)
+        nu = np.array([-0.5, -0.5])
+        # both columns on S: G is singular; one: the other is dual-tight
+        for z in ([0.5, 0.0, 0.5], [0.9, 0.0, 0.1]):
+            assert _certified_vertex(A, u, np.array(z), np.full(3, 0.6), nu, 1.0) is None
+
+    def test_weighted_route_divides_the_refit_by_the_weights(self, monkeypatch):
+        A, x = self.instance(1)
+        w = 0.5 + CounterRng(stream_seed("certified-w", 0)).uniform(64)
+        certificates = record_certificates(monkeypatch)
+        z = bp_equality(A, A @ x, w)
+        vertex = certificates[-1][1]
+        assert vertex is not None
+        assert z.tobytes() == (vertex / w).tobytes()
+        assert np.max(np.abs(z - x)) <= 1e-14
 
 
 class TestReweighted:

@@ -58,6 +58,11 @@ class TestOmp:
         assert list(rep.support) == [1, 5, 9]
         assert rep.iterations == 3
 
+    def test_boolean_sparsity_rejected(self):
+        # omp(A, u, True) used to run one round
+        with pytest.raises(ValueError, match="whole number"):
+            omp(np.eye(4), np.ones(4), True)
+
     def test_orthonormal_columns(self):
         A = gen_matrix(EnsembleSpec("partial_dct", 16, 16, seed=1))
         x = gen_signal(SignalSpec(16, 4, seed=2))

@@ -56,6 +56,44 @@ class TestTheory:
             rk_theory(A, residual=np.ones(4))
 
 
+class TestScaledRows:
+    """Rows whose squared norms overflow or underflow, though A is finite
+    and no row is zero, are rejected as such by both functions."""
+
+    A = CounterRng(17).normal(18).reshape(6, 3)
+
+    def test_solve_rejects_overflowing_squares(self):
+        # the weights were inf and every pick landed past the last row:
+        # IndexError: index 6 is out of bounds
+        with pytest.raises(ValueError, match="overflow"):
+            rk_solve(self.A * 1e160, np.ones(6), np.zeros(3), 10)
+
+    def test_solve_rejects_a_sum_of_squares_that_overflows(self):
+        # each weight is finite, ||A||_F^2 is not
+        a = np.sqrt(0.4 * np.finfo(float).max)
+        with pytest.raises(ValueError, match="overflow"):
+            rk_solve(np.full((6, 1), a), np.ones(6), np.zeros(1), 10)
+
+    @pytest.mark.parametrize("call", [
+        lambda A: rk_solve(A, np.ones(6), np.zeros(3), 10),
+        lambda A: rk_theory(A),
+    ], ids=["rk_solve", "rk_theory"])
+    def test_underflowing_squares_are_not_zero_rows(self, call):
+        # both said "matrix has a zero row"
+        A = self.A * 1e-170
+        assert np.all(np.any(A != 0, axis=1))
+        with pytest.raises(ValueError, match="underflow"):
+            call(A)
+
+    @pytest.mark.parametrize("call", [
+        lambda A: rk_solve(A, np.ones(2), np.zeros(2), 10),
+        lambda A: rk_theory(A),
+    ], ids=["rk_solve", "rk_theory"])
+    def test_a_zero_row_beside_tiny_rows_is_still_a_zero_row(self, call):
+        with pytest.raises(ValueError, match="zero row"):
+            call(np.array([[1e-170, 0.0], [0.0, 0.0]]))
+
+
 class TestSolve:
     def test_fixed_point(self):
         A = CounterRng(2).normal(80).reshape(20, 4)

@@ -359,6 +359,12 @@ class TestAsCount:
         with pytest.raises(ValueError, match="k must be a whole number >= 0"):
             as_count(-1, "k", low=0)
 
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+    def test_booleans_are_rejected(self, value):
+        # True used to count as 1 and False as 0
+        with pytest.raises(ValueError, match="^n must be a whole number >= 0$"):
+            as_count(value, "n", low=0)
+
 
 class TestAsIndices:
     @pytest.mark.parametrize("value", [
@@ -416,6 +422,11 @@ class TestTopK:
 
     def test_whole_float_k(self):
         assert list(top_k([3.0, 1.0, 2.0], 2.0)) == [0, 2]
+
+    def test_boolean_k_rejected(self):
+        # top_k(v, True) used to return one index
+        with pytest.raises(ValueError, match="^k must be a whole number >= 0$"):
+            top_k([3.0, 1.0, 2.0], True)
 
     def test_value_permutation_invariance(self):
         # the selected values are the same under permutation of the input
