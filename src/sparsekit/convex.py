@@ -106,21 +106,33 @@ def _range_solvers(A):
 
 
 def _certified_vertex(A, u, z, t, nu, uscale):
-    """The least-squares refit of ``bp_equality``'s iterate on its apparent
-    support S, when a dual point certifies it as the unique minimizer of
-    ||z||_1 s.t. Az = u; else None.
+    """The least-squares refit of ``bp_equality``'s iterate (z, t, nu) on a
+    guessed support S, when a dual point certifies it as the unique
+    minimizer of ||z||_1 s.t. Az = u; else None.
 
-    S holds the entries with |z_i| > t_i / 2 and > 1e-3 max|z|.  With
-    G = A_S^T A_S, the refit solves G z_S = A_S^T u, and nu moves by the
-    least-norm step to A_S^T nu = -sign(z_S).  The refit is returned when it
-    meets Az = u to BP_FEAS_TOL, |A_i^T nu| <= 1 - 1e-6 off S (strict dual
-    feasibility, which with G regular makes the minimizer unique), and the
-    duality gap plus a residual charge, for nu scaled into the dual set,
-    is within BP_GAP_TOL; a singular G gives None."""
+    S is guessed at the largest gap in magnitude, from z alone: with |z|
+    sorted in descending order and padded with zeros to its first m + 1
+    entries, S holds the k largest, where k is the first maximum of
+    mag_i / mag_{i+1} (0/0 counts as 0), so 1 <= |S| <= m.  The guess only
+    chooses which S is tested: the refit's bytes depend on S alone, and the
+    tests below decide whether it is returned.
+
+    With G = A_S^T A_S, the refit solves G z_S = A_S^T u, and nu moves by
+    the least-norm step to A_S^T nu = -sign(z_S).  The refit is returned
+    when it meets Az = u to BP_FEAS_TOL, |A_i^T nu| <= 1 - 1e-6 off S
+    (strict dual feasibility, which with G regular makes the minimizer
+    unique), and the duality gap plus a residual charge, for nu scaled into
+    the dual set, is within BP_GAP_TOL; a singular G or z = 0 gives None."""
+    m = A.shape[0]
     az = np.abs(z)
-    S = np.flatnonzero((az > 0.5 * t) & (az > 1e-3 * az.max()))
-    if S.size == 0 or S.size > A.shape[0]:
+    top = np.argsort(-az, kind="stable")[:m + 1]
+    mag = np.zeros(m + 1)
+    mag[:top.size] = az[top]
+    if mag[0] == 0:
         return None
+    with np.errstate(divide="ignore"):
+        gap = np.divide(mag[:-1], mag[1:], out=np.zeros(m), where=mag[:-1] > 0)
+    S = np.sort(top[:np.argmax(gap) + 1])
     A_S = A[:, S]
     G = A_S.T @ A_S
     try:
@@ -146,9 +158,11 @@ def bp_equality(A, u, weights=None):
     """Minimum (weighted) l1-norm solution of Az = u: l1-magic's ``l1eq_pd``
     on the recast min sum(t) s.t. -t <= z <= t, Az = u, with m x m Schur
     solves and the shared line search ``_trial_steps``.  Before each step,
-    ``_certified_vertex`` refits the iterate on its apparent support and
-    returns the refit as soon as a strictly feasible dual point proves it
-    the unique minimizer, usually after 4-6 of the method's ~15 steps.
+    ``_certified_vertex`` refits the iterate on the support guessed at its
+    largest magnitude gap and returns the refit as soon as a strictly
+    feasible dual point proves it the unique minimizer: after 1-4 of the
+    method's ~15 steps in 137 of the 160 benchmark ``phase --algo bp``
+    instances, 2.85 steps per call on average (``tools/bp_steps.py``).
     When the optimum is not unique, or the refit is not certified to the
     stopping tolerances, the method runs on: a converged z is returned as
     is.  After a stalled search or BP_MAX_ITERS steps, z is put back onto

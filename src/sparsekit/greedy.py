@@ -155,16 +155,20 @@ def regularize(indices, values):
 
 
 def omp(A, u, s, adjoint=None):
-    """Orthogonal matching pursuit: min(s, m) rounds of single-index selection.
+    """Orthogonal matching pursuit: min(s, m, d) rounds of single-index
+    selection.
 
     Each round picks the largest coordinate of the proxy A'r (through
     ``adjoint`` when given) among the still-unselected columns, then re-fits
-    by least squares on the running index set; s > m runs as s = m.
+    by least squares on the running index set.  It halts with
+    ``residual_zero`` once ||r|| <= RESIDUAL_TOL, else with
+    ``max_iterations`` after its rounds; with no columns that is at once,
+    with an empty estimate.
     """
     A = as_matrix(A)
     m, d = A.shape
     u = as_vector(u, m, "u")
-    s = min(as_count(s, "sparsity s"), m)
+    s = min(as_count(s, "sparsity s"), m, d)
     I = np.zeros(0, dtype=np.intp)
     x_hat = np.zeros(d)
     r = u.copy()

@@ -55,6 +55,17 @@ class TestBpEquality:
         assert np.array_equal(bp_denoise(np.zeros((0, 4)), np.zeros(0), 0.0),
                               np.zeros(4))
 
+    @pytest.mark.parametrize("solve", [
+        lambda A, u, w: bp_equality(A, u, w),
+        lambda A, u, w: bp_denoise(A, u, 0.1, w)], ids=["bp_equality", "bp_denoise"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_weights_must_be_positive(self, solve, bad):
+        A = gen_matrix(EnsembleSpec("gaussian", 4, 9, seed=7))
+        w = np.ones(9)
+        w[3] = bad
+        with pytest.raises(ValueError, match="weights must be positive"):
+            solve(A, A[:, 0], w)
+
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
             bp_equality(np.array([[1.0, 0.0], [1.0, 0.0]]), [1.0, 2.0])
@@ -229,6 +240,14 @@ class TestBpEqualityBytes:
         else:
             want = gen_signal(SignalSpec(256, 16, seed=stream_seed("bp-bytes-sig", 0)))
         assert np.max(np.abs(bp_equality(A, u, weights) - want)) <= self.DISTANCE[name]
+
+    def test_gaussian_instance_exits_after_two_searches(self, monkeypatch):
+        # five searches and six tries with the threshold guess below
+        searches = record_searches(monkeypatch)
+        certificates = record_certificates(monkeypatch)
+        z = bp_equality(*self.instance("gaussian"))
+        assert len(searches) <= 2 and len(certificates) == len(searches) + 1
+        assert z.tobytes() == certificates[-1][1].tobytes()
 
     def test_fallback_instance_takes_lstsq(self):
         A, _, _ = self.instance("nearly-repeated-row")
@@ -448,22 +467,29 @@ class TestTrialSteps:
     def test_both_solvers_search_through_it(self, monkeypatch, solver):
         A = gen_matrix(EnsembleSpec("gaussian", 16, 32, seed=50))
         u = A @ gen_signal(SignalSpec(32, 3, seed=51, random_signs=True))
-        calls = []
-
-        def counting(*args):
-            calls.append(args[0])
-            return _trial_steps(*args)
-
-        monkeypatch.setattr(convex, "_trial_steps", counting)
+        calls = record_searches(monkeypatch)
         if solver == "bp_denoise":
             bp_denoise(A, u, 0.1 * float(np.linalg.norm(u)))
             assert len(calls) > 5
             return
-        # the certified exit ends this instance after 4 searches
+        # the certified exit ends this instance after 1 search
         certificates = record_certificates(monkeypatch)
         z = bp_equality(A, u)
         assert len(calls) >= 1
         assert z.tobytes() == certificates[-1][1].tobytes()
+
+
+def record_searches(monkeypatch):
+    """Wrap ``convex._trial_steps``; the returned list gets each line
+    search's first step."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return _trial_steps(*args)
+
+    monkeypatch.setattr(convex, "_trial_steps", counting)
+    return calls
 
 
 def record_certificates(monkeypatch):
@@ -479,9 +505,24 @@ def record_certificates(monkeypatch):
     return calls
 
 
+def threshold_guess(A, u, z, t, nu, uscale):
+    """``_certified_vertex`` with the support guess it had before the
+    largest-gap rule, kept frozen: S holds the entries with |z_i| > t_i / 2
+    and > 1e-3 max|z|.  Zeroing z off S makes the gap rule pick S, and the
+    certificate reads z only through S."""
+    az = np.abs(z)
+    on_S = (az > 0.5 * t) & (az > 1e-3 * az.max())
+    if not 1 <= np.count_nonzero(on_S) <= A.shape[0]:
+        return None
+    return _certified_vertex(A, u, np.where(on_S, z, 0.0), t, nu, uscale)
+
+
 class TestCertifiedVertex:
     """``_certified_vertex``: bp_equality's exit through a refit on the
     iterate's support, guarded by a strictly feasible dual point."""
+
+    # 30 Gaussian 128 x 256 instances, six at each s
+    BATTERY = [(s, seed) for s in (8, 16, 24, 32, 40) for seed in range(6)]
 
     @staticmethod
     def instance(seed):
@@ -496,9 +537,10 @@ class TestCertifiedVertex:
         certificates = record_certificates(monkeypatch)
         z = bp_equality(A, A @ x)
         answers = [answer for _, answer in certificates]
-        # every step before the last was refused, the last accepted
+        # every step before the last was refused, the last accepted; the
+        # threshold guess took 6-7 tries here
         assert all(answer is None for answer in answers[:-1])
-        assert 1 <= len(answers) <= 8
+        assert 1 <= len(answers) <= 4
         assert z.tobytes() == answers[-1].tobytes()
         assert np.array_equal(np.flatnonzero(z), np.flatnonzero(x))
         assert np.max(np.abs(z - x)) <= 1e-15
@@ -524,8 +566,48 @@ class TestCertifiedVertex:
         assert certificates and all(answer is None for _, answer in certificates)
         nu = np.array([-0.5, -0.5])
         # both columns on S: G is singular; one: the other is dual-tight
-        for z in ([0.5, 0.0, 0.5], [0.9, 0.0, 0.1]):
+        for z in ([0.5, 0.0, 0.5], [0.9, 0.001, 0.01]):
             assert _certified_vertex(A, u, np.array(z), np.full(3, 0.6), nu, 1.0) is None
+
+    @pytest.mark.parametrize("z, S", [
+        ([0.0, 3.0, 0.0, -1.0, 0.0, 0.0], [1, 3]),   # the first zero
+        ([1e-3, 3.0, 2.0, -2.5, 1e-4, 1e-4], [1, 2, 3]),
+        ([1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [0]),      # the first of equal gaps
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [3, 4, 5]),  # only 6, 5, 4, 3 count
+    ])
+    def test_support_guess_at_the_largest_gap(self, monkeypatch, z, S):
+        # m = 3: the refit's right-hand side A_S^T u names S, since every
+        # column has its own A_i^T u
+        A = np.hstack([np.eye(3), CounterRng(7).normal(9).reshape(3, 3)])
+        u = np.array([1.0, 2.0, 4.0])
+        rhs = []
+
+        def solve(G, b):
+            rhs.append(b)
+            raise np.linalg.LinAlgError
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert _certified_vertex(A, u, np.array(z), np.ones(6), np.zeros(3), 1.0) is None
+        np.testing.assert_allclose(rhs[0], (A.T @ u)[S], rtol=1e-12)
+
+    @pytest.mark.parametrize("s, seed", BATTERY)
+    def test_battery_agrees_with_the_threshold_guess(self, monkeypatch, s, seed):
+        # the two guesses may certify different supersets of the signal's
+        # support; what one keeps and the other drops is below 1e-14
+        A = gen_matrix(EnsembleSpec("gaussian", 128, 256, seed=stream_seed("gap", seed)))
+        u = A @ gen_signal(SignalSpec(256, s, seed=stream_seed("gap-sig", s, seed),
+                                      random_signs=True))
+        z = bp_equality(A, u)
+        monkeypatch.setattr(convex, "_certified_vertex", threshold_guess)
+        before = bp_equality(A, u)
+        assert np.max(np.abs(z - before)) <= TestBpEqualityBytes.DISTANCE["gaussian"]
+        moved = (z != 0) != (before != 0)
+        assert np.all(np.abs(z[moved]) < 1e-14) and np.all(np.abs(before[moved]) < 1e-14)
+
+    def test_none_for_a_zero_iterate(self):
+        A = np.eye(3)
+        assert _certified_vertex(A, np.ones(3), np.zeros(3), np.ones(3),
+                                 np.zeros(3), 1.0) is None
 
     def test_weighted_route_divides_the_refit_by_the_weights(self, monkeypatch):
         A, x = self.instance(1)

@@ -67,6 +67,10 @@ class TestMatrices:
         with pytest.raises(ValueError, match="must be a whole number >= 1"):
             EnsembleSpec("gaussian", rows, cols)
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown ensemble family 'rademacher'"):
+            EnsembleSpec("rademacher", 4, 8)
+
     def test_partial_dct_needs_wide_shape(self):
         with pytest.raises(ValueError):
             EnsembleSpec("partial_dct", 10, 5)

@@ -63,6 +63,21 @@ class TestOmp:
         with pytest.raises(ValueError, match="whole number"):
             omp(np.eye(4), np.ones(4), True)
 
+    def test_no_columns_gives_an_empty_estimate(self):
+        # raised numpy's "attempt to get argmax of an empty sequence"
+        rep = omp(np.zeros((3, 0)), np.array([1.0, 2.0, 3.0]), 1)
+        assert rep.estimate.shape == (0,) and rep.support.size == 0
+        assert rep.iterations == 0 and rep.residual_history == []
+        assert rep.halt_reason == "max_iterations"
+
+    def test_more_rounds_than_columns_selects_each_column_once(self):
+        # the third round picked column 0 again: "index set must be strictly
+        # increasing"; the residual (0, 0, 1) is orthogonal to both columns
+        rep = omp(np.eye(3)[:, :2], np.ones(3), 3)
+        assert list(rep.support) == [0, 1] and rep.iterations == 2
+        np.testing.assert_allclose(rep.estimate, [1.0, 1.0])
+        assert rep.halt_reason == "max_iterations"
+
     def test_orthonormal_columns(self):
         A = gen_matrix(EnsembleSpec("partial_dct", 16, 16, seed=1))
         x = gen_signal(SignalSpec(16, 4, seed=2))

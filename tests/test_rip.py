@@ -239,6 +239,13 @@ class TestConsequences:
         with pytest.raises(ValueError, match="seed must be a whole number"):
             check_ric_consequences(A, 2, trials=20, seed=seed)
 
+    @pytest.mark.parametrize("s", [0, 6])
+    def test_order_must_fit_the_columns(self, s):
+        # 2s = 0 and 2s = 12 > d = 10
+        A = gen_matrix(EnsembleSpec("gaussian", 6, 10, seed=13))
+        with pytest.raises(ValueError, match=r"need 1 <= 2s <= d"):
+            check_ric_consequences(A, s, trials=20)
+
     @pytest.mark.parametrize("trials", [-1, 0, 2.5, np.nan])
     def test_trials_must_be_a_whole_number(self, trials):
         # trials=-1 used to report every check passed over an empty battery

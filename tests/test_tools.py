@@ -1,23 +1,23 @@
 """tools/same_bytes.py: one output digest per reference cell, to compare
-two checkouts with diff."""
+two checkouts with diff; tools/bp_steps.py: bp_equality's step counts."""
 
 import importlib.util
 from pathlib import Path
 
-from sparsekit import cli
+from sparsekit import cli, convex
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_same_bytes():
-    spec = importlib.util.spec_from_file_location(
-        "same_bytes", ROOT / "tools" / "same_bytes.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-same_bytes = load_same_bytes()
+same_bytes = load_tool("same_bytes")
+bp_steps = load_tool("bp_steps")
 # one Kaczmarz cell and one exact RIC cell, the quickest of the workload
 CELLS = [next(argv for argv in same_bytes.reference_cells("analysis")
               if argv[0] == kind and "monte_carlo" not in argv)
@@ -43,4 +43,22 @@ def test_a_cell_off_its_reference_fails():
 def test_unknown_or_missing_workload_is_a_usage_error(capsys):
     assert same_bytes.main([]) == 2
     assert same_bytes.main(["analysis", "no-such-workload"]) == 2
+    assert "usage" in capsys.readouterr().err
+
+
+def test_bp_steps_counts_searches_tries_and_exits():
+    # s=8, seed 0 is certified after one search; s=40, seed 6 never is, and
+    # its last step converges, so it is tried once per search
+    cells = [argv for argv in bp_steps.phase_bp_cells()
+             if (argv[argv.index("--s") + 1], argv[-1]) in {("8", "0"), ("40", "6")}]
+    assert len(cells) == 2 and cells[0][-1] == "0"
+    trial_steps, certified_vertex = convex._trial_steps, convex._certified_vertex
+    rows = list(bp_steps.count_steps(cli, convex, cells,
+                                     bp_steps.load_references("convex-noisy")))
+    assert rows == [(1, 2, 1, True), (23, 23, 0, True)]
+    assert (convex._trial_steps, convex._certified_vertex) == (trial_steps, certified_vertex)
+
+
+def test_bp_steps_takes_no_arguments(capsys):
+    assert bp_steps.main(["convex-noisy"]) == 2
     assert "usage" in capsys.readouterr().err
