@@ -137,14 +137,17 @@ def _certified_vertex(A, u, z, t, nu, uscale):
     G = A_S.T @ A_S
     try:
         z_S = np.linalg.solve(G, A_S.T @ u)
-        nu = nu - A_S @ np.linalg.solve(G, np.sign(z_S) + A_S.T @ nu)
     except np.linalg.LinAlgError:
         return None
+    # most failed tries fail here, before the dual solve and A'nu
     r_norm = np.linalg.norm(A_S @ z_S - u)
+    if r_norm > BP_FEAS_TOL * uscale:
+        return None
+    nu = nu - A_S @ np.linalg.solve(G, np.sign(z_S) + A_S.T @ nu)
     Atnu = np.abs(A.T @ nu)
     nu = nu / max(1.0, float(Atnu.max()))
     Atnu[S] = 0.0
-    if r_norm > BP_FEAS_TOL * uscale or Atnu.max() > 1 - 1e-6:
+    if Atnu.max() > 1 - 1e-6:
         return None
     l1 = float(np.sum(np.abs(z_S)))
     if l1 + nu @ u + r_norm * np.linalg.norm(nu) > BP_GAP_TOL * max(1.0, l1):

@@ -15,11 +15,18 @@ through it in place of the dense product.  Least squares always reads A's
 own columns, so an estimate depends only on the index sets selected.  Those
 match the dense run's unless two proxy entries tie to within rounding,
 which for the partial DCT is a few 1e-13 of the largest entry.
-OMP, ROMP and CoSaMP form each residual from the support columns alone, so
-with a fast adjoint an iteration reads no m x d block of A.  StOMP keeps the
-full product A x_hat: its threshold t ||r|| / sqrt(m) acts on a residual
-near the noise floor, and the support-column sum, rounded in another order,
-moves some of its selections.
+
+OMP, ROMP and CoSaMP gather one block A[:, I] an iteration, fit on it with
+``linalg.least_squares`` and form the residual from the same block (CoSaMP
+from the columns that its prune keeps), so with a fast adjoint an iteration
+reads no m x d block of A.  OMP's block grows by the one column it selects:
+it holds A[:, I] transposed, C-ordered, and inserts each new column as a
+row, so a round reads one column of A.  Every block is F-ordered, as
+``A[:, I]`` of a C-ordered A is: conjugate gradient's BLAS products round a
+C-ordered block otherwise.  StOMP fits through ``pseudoinverse_apply`` and
+keeps the full product A x_hat: its threshold t ||r|| / sqrt(m) acts on a
+residual near the noise floor, and the support-column sum, rounded in
+another order, moves some of its selections.
 """
 
 import warnings
@@ -27,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .linalg import (
     LsConfig,
     as_count,
@@ -169,22 +177,33 @@ def omp(A, u, s, adjoint=None):
     m, d = A.shape
     u = as_vector(u, m, "u")
     s = min(as_count(s, "sparsity s"), m, d)
-    I = np.zeros(0, dtype=np.intp)
-    x_hat = np.zeros(d)
+    # the first k entries of idx are I, ascending, and the first k rows of
+    # rows are A[:, I] transposed, so rows[:k].T is F-ordered as A[:, I] is
+    idx = np.empty(s, dtype=np.intp)
+    rows = np.empty((s, m))
+    I = idx[:0]
+    z = np.zeros(0)
     r = u.copy()
     rnorm = float(np.linalg.norm(r))
     history = []
-    for _ in range(s):
+    for k in range(s):
         if rnorm <= RESIDUAL_TOL:
             break
         y = np.abs(A.T @ r if adjoint is None else adjoint(r))
         y[I] = -1.0
         lam = int(np.argmax(y))
-        I = np.sort(np.append(I, lam))
-        x_hat = pseudoinverse_apply(A, I, u)
-        r = u - A[:, I] @ x_hat[I]
+        at = int(np.searchsorted(I, lam))
+        idx[at + 1:k + 1] = idx[at:k]
+        rows[at + 1:k + 1] = rows[at:k]
+        idx[at] = lam
+        rows[at] = A[:, lam]
+        I, A_I = idx[:k + 1], rows[:k + 1].T
+        z, _ = linalg.least_squares(A_I, u)
+        r = u - A_I @ z
         rnorm = float(np.linalg.norm(r))
         history.append(rnorm)
+    x_hat = np.zeros(d)
+    x_hat[I] = z
     halt = HALT_RESIDUAL_ZERO if rnorm <= RESIDUAL_TOL else HALT_MAX_ITERATIONS
     return RecoveryReport(x_hat, I, len(history), history, halt)
 
@@ -248,7 +267,7 @@ def romp(A, u, s, adjoint=None):
             f"romp with 2s={2 * s} > m={m} measurements is outside the "
             "recommended regime", stacklevel=2)
     I = np.zeros(0, dtype=np.intp)
-    x_hat = np.zeros(d)
+    z = np.zeros(0)
     r = u.copy()
     rnorm = float(np.linalg.norm(r))
     history = []
@@ -272,11 +291,14 @@ def romp(A, u, s, adjoint=None):
         J = top_k(y, min(s, nonzero))
         J0 = _cap_columns(y, regularize(J, y[J]), I.size, m)
         I = np.union1d(I, J0)
-        x_hat = pseudoinverse_apply(A, I, u)
-        r = u - A[:, I] @ x_hat[I]
+        A_I = A[:, I]
+        z, _ = linalg.least_squares(A_I, u)
+        r = u - A_I @ z
         rnorm = float(np.linalg.norm(r))
         history.append(rnorm)
         selections.append(J0)
+    x_hat = np.zeros(d)
+    x_hat[I] = z
     return RecoveryReport(x_hat, I, len(history), history, halt,
                           selection_history=selections)
 
@@ -332,14 +354,16 @@ def cosamp(A, u, cfg, adjoint=None):
             omega = _cap_columns(
                 y, np.setdiff1d(omega, cur, assume_unique=True), cur.size, m)
         T = np.union1d(omega, cur)
+        A_T = A[:, T]
+        zT, _ = linalg.least_squares(A_T, u, a[T], COSAMP_LS)
         # the estimate is zero outside T, so pruning T prunes all of it: a
-        # is prune(b[T], s) on T, and cur its support
-        b = pseudoinverse_apply(A, T, u, COSAMP_LS, z0=a)
-        keep = T[top_k(b[T], min(s, T.size))]
+        # is prune(zT, s) on T, and cur its support
+        pos = top_k(zT, min(s, T.size))
         a = np.zeros(d)
-        a[keep] = b[keep]
-        cur = keep[b[keep] != 0.0]
-        v = u - A[:, cur] @ a[cur]
+        a[T[pos]] = zT[pos]
+        pos = pos[zT[pos] != 0.0]
+        cur = T[pos]
+        v = u - A_T[:, pos] @ zT[pos]
         vnorm = float(np.linalg.norm(v))
         history.append(vnorm)
         estimates.append(a.copy())

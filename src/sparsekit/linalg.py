@@ -7,9 +7,12 @@ selection.  Everything here is a pure function of its inputs; no
 randomness, no shared state.
 
 Every kernel checks the entries it reads for finiteness.
+``least_squares`` checks the column block it is given, and
 ``pseudoinverse_apply`` reads only its support columns, so it checks only
 those; callers that loop over supports (the greedy solvers) check the whole
-matrix once up front.
+matrix once up front.  StOMP and outside callers fit through
+``pseudoinverse_apply``; OMP, ROMP and CoSaMP gather their own block and
+call ``least_squares`` on it, since they form the residual from that block.
 """
 
 import math
@@ -222,9 +225,10 @@ def pseudoinverse_apply(A, T, u, cfg=None, z0=None):
 
     Only the columns in T are read, and only they are checked for finite
     entries (by ``least_squares``): a NaN or inf in a column of T raises
-    ``ValueError``, while one outside T does not affect the result.  The
-    greedy solvers check all of A once on entry, so this call skips the
-    m x d scan it would otherwise repeat every iteration.
+    ``ValueError``, while one outside T does not affect the result.  StOMP
+    checks all of A once on entry, so this call skips the m x d scan it
+    would otherwise repeat every stage.  StOMP and outside callers use it;
+    OMP, ROMP and CoSaMP fit their own block through ``least_squares``.
     """
     A = _as_2d(A)
     m, d = A.shape

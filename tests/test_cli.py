@@ -404,6 +404,17 @@ class TestRecover:
                                "--signal", str(sig))
         assert code == 2
 
+    def test_matrix_short_of_its_header_is_exit_2(self, capsys, tmp_path):
+        amat, sig = tmp_path / "A.csv", tmp_path / "x.csv"
+        save_matrix_csv(amat, gen_matrix(EnsembleSpec("gaussian", 12, 24,
+                                                      seed=9)), seed=9)
+        amat.write_text("\n".join(amat.read_text().splitlines()[:-1]) + "\n")
+        save_vector_csv(sig, gen_signal(SignalSpec(24, 2, seed=10)), seed=10)
+        code, out, err = run_cli(capsys, "recover", "--matrix", str(amat),
+                                 "--signal", str(sig))
+        assert code == 2 and out == ""
+        assert "config error:" in err and "header promises 12x24, file holds (11, 24)" in err
+
     def test_negative_sparsity_is_exit_2(self, capsys, tmp_path):
         # omp with s < 1 used to return an all-zero estimate and exit 0
         A = gen_matrix(EnsembleSpec("gaussian", 12, 24, seed=9))

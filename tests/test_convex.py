@@ -556,6 +556,28 @@ class TestCertifiedVertex:
             missing[i] = 0.0
             assert _certified_vertex(A, u, missing, t, nu, uscale) is None
 
+    def test_primal_miss_skips_the_dual_solve(self, monkeypatch):
+        # most refused tries miss Az = u: they stop after the refit's solve,
+        # before the dual step's solve and A'nu
+        A, x = self.instance(0)
+        certificates = record_certificates(monkeypatch)
+        bp_equality(A, A @ x)
+        (_, u, z, t, nu, uscale), _ = certificates[-1]
+        missing = z.copy()
+        missing[np.flatnonzero(x)[0]] = 0.0
+        solves, solve = [], np.linalg.solve
+
+        def counted(G, b):
+            solves.append(b.size)
+            return solve(G, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        assert _certified_vertex(A, u, missing, t, nu, uscale) is None
+        assert solves == [4]
+        solves.clear()
+        assert _certified_vertex(A, u, z, t, nu, uscale) is not None
+        assert solves == [5, 5]
+
     def test_none_for_a_non_unique_optimum(self, monkeypatch):
         # test_rank_deficient_feasible: columns 0 and 2 are equal, so every
         # split of 1 between them is optimal

@@ -1,3 +1,4 @@
+import re
 import threading
 import time
 import tracemalloc
@@ -399,4 +400,16 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("just,three,fields\n")
         with pytest.raises(ValueError):
+            load_csv(path)
+
+    @pytest.mark.parametrize("edit, held", [
+        (lambda lines: lines[:-1], "(6, 11)"),
+        (lambda lines: lines[:1] + [row + ",0" for row in lines[1:]], "(7, 12)"),
+    ], ids=["missing-row", "extra-column"])
+    def test_shape_must_match_header(self, tmp_path, edit, held):
+        path = tmp_path / "A.csv"
+        save_matrix_csv(path, gen_matrix(EnsembleSpec("gaussian", 7, 11, seed=1)))
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        want = f"header promises 7x11, file holds {held}"
+        with pytest.raises(ValueError, match=re.escape(want)):
             load_csv(path)

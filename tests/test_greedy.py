@@ -617,28 +617,62 @@ def test_non_finite_matrix_rejected_on_entry(solve, where):
     lambda A, u: cosamp(A, u, CosampConfig(4, max_iters=8)),
 ], ids=["omp", "stomp", "romp", "cosamp"])
 def test_every_fit_is_one_least_squares_call(solve, monkeypatch):
-    # a tracer counts fits and CG iterations through these two attributes
-    fits, solves = [], []
-    fit, ls = greedy.pseudoinverse_apply, linalg.least_squares
-
-    def spy_fit(A, T, u, *args, **kwargs):
-        fits.append(len(T))
-        return fit(A, T, u, *args, **kwargs)
+    # a tracer counts fits and CG iterations through linalg.least_squares,
+    # which StOMP reaches through pseudoinverse_apply and the others call on
+    # their own block; every iteration fits once and records one residual
+    solves = []
+    ls = linalg.least_squares
 
     def spy_ls(A_T, *args, **kwargs):
         out = ls(A_T, *args, **kwargs)
         solves.append((A_T.shape[1], out))
         return out
 
-    monkeypatch.setattr(greedy, "pseudoinverse_apply", spy_fit)
     monkeypatch.setattr(linalg, "least_squares", spy_ls)
     A = gen_matrix(EnsembleSpec("gaussian", 32, 64, seed=30))
     u = A @ gen_signal(SignalSpec(64, 4, seed=31)) + 0.01 * CounterRng(32).normal(32)
-    solve(A, u)
-    assert len(solves) == sum(k > 0 for k in fits) > 1
+    rep = solve(A, u)
+    assert len(solves) == len(rep.residual_history) > 1
+    assert all(k > 0 for k, _ in solves)
     for k, out in solves:
         z, its = out
         assert z.shape == (k,) and type(its) is int and its >= 0
+
+
+def column_indices(A, A_T):
+    """The columns of A that the block A_T holds, in its order (the
+    columns of A must be distinct)."""
+    return [int(np.flatnonzero((A == col[:, None]).all(axis=0))[0])
+            for col in A_T.T]
+
+
+@pytest.mark.parametrize("algo", ["omp", "romp", "cosamp"])
+def test_each_fit_reads_its_own_f_ordered_block(algo, monkeypatch):
+    # the block is A[:, I] for an increasing I, in A[:, I]'s F order: BLAS
+    # rounds a C-ordered block's products otherwise, and the bytes change
+    blocks = []
+    ls = linalg.least_squares
+
+    def spy_ls(A_T, *args, **kwargs):
+        # a copy: OMP's block is a view of a buffer that later rounds shift
+        blocks.append((A_T.flags.f_contiguous, A_T.copy()))
+        return ls(A_T, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "least_squares", spy_ls)
+    A, u, s, _ = _report_instance("gaussian")
+    rep = {"omp": lambda: omp(A, u, s),
+           "romp": lambda: romp(A, u, s),
+           "cosamp": lambda: cosamp(A, u, CosampConfig(s, max_iters=12))}[algo]()
+    assert len(blocks) == rep.iterations > 1
+    held = []
+    for f_ordered, A_T in blocks:
+        I = column_indices(A, A_T)
+        assert f_ordered
+        assert I == sorted(set(I)) and np.array_equal(A_T, A[:, I])
+        if algo == "omp":               # one column more each round
+            assert set(held) < set(I) and len(I) == len(held) + 1
+        held = I
+    assert set(rep.support) <= set(held)
 
 
 @pytest.mark.parametrize("make", [
@@ -676,18 +710,18 @@ class TestColumnCap:
     ], ids=["stomp", "romp", "cosamp"])
     def test_fit_never_passes_m_columns(self, solve, monkeypatch):
         fits, cuts = [], []
-        fit, cap = greedy.pseudoinverse_apply, greedy._cap_columns
+        ls, cap = linalg.least_squares, greedy._cap_columns
 
-        def spy_fit(A, T, u, *args, **kwargs):
-            fits.append(len(T))
-            return fit(A, T, u, *args, **kwargs)
+        def spy_ls(A_T, *args, **kwargs):
+            fits.append(A_T.shape[1])
+            return ls(A_T, *args, **kwargs)
 
         def spy_cap(y, J, held, m):
             kept = cap(y, J, held, m)
             cuts.append(kept.size < J.size)
             return kept
 
-        monkeypatch.setattr(greedy, "pseudoinverse_apply", spy_fit)
+        monkeypatch.setattr(linalg, "least_squares", spy_ls)
         monkeypatch.setattr(greedy, "_cap_columns", spy_cap)
         for seed in range(4):
             A = gen_matrix(EnsembleSpec("gaussian", 9, 40, seed=seed))
@@ -713,14 +747,14 @@ class TestColumnCap:
         A = gen_matrix(EnsembleSpec("gaussian", m, 30, seed=5))
         u = CounterRng(31).normal(m)
         merged = []
-        fit = greedy.pseudoinverse_apply
+        ls = linalg.least_squares
 
-        def spy_fit(A, T, u, *args, **kwargs):
-            merged.append(list(T))
-            return fit(A, T, u, *args, **kwargs)
+        def spy_ls(A_T, *args, **kwargs):
+            merged.append(column_indices(A, A_T))
+            return ls(A_T, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(greedy, "pseudoinverse_apply", spy_fit)
+            mp.setattr(linalg, "least_squares", spy_ls)
             with pytest.warns(UserWarning, match="4s=12 > m=7"):
                 rep = cosamp(A, u, CosampConfig(
                     s, halting="fixed_iterations", max_iters=5))
@@ -742,15 +776,15 @@ class TestColumnCap:
         # cur is cut: each fit holds min(m, |omega u cur|) columns
         m, d, s = 9, 40, 4
         fits = []
-        fit = greedy.pseudoinverse_apply
+        ls = linalg.least_squares
 
-        def spy_fit(A, T, u, *args, **kwargs):
-            fits.append(len(T))
-            return fit(A, T, u, *args, **kwargs)
+        def spy_ls(A_T, *args, **kwargs):
+            fits.append(A_T.shape[1])
+            return ls(A_T, *args, **kwargs)
 
         overlapping_cuts = 0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(greedy, "pseudoinverse_apply", spy_fit)
+            mp.setattr(linalg, "least_squares", spy_ls)
             for seed in range(40):
                 A = gen_matrix(EnsembleSpec("gaussian", m, d, seed=seed))
                 u = CounterRng(stream_seed("cosamp-merge", seed)).normal(m)

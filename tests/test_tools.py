@@ -1,8 +1,11 @@
 """tools/same_bytes.py: one output digest per reference cell, to compare
-two checkouts with diff; tools/bp_steps.py: bp_equality's step counts."""
+two checkouts with diff; tools/bp_steps.py: bp_equality's step counts;
+tools/cell_times.py: each template's median latency."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from sparsekit import cli, convex
 
@@ -18,6 +21,7 @@ def load_tool(name):
 
 same_bytes = load_tool("same_bytes")
 bp_steps = load_tool("bp_steps")
+cell_times = load_tool("cell_times")
 # one Kaczmarz cell and one exact RIC cell, the quickest of the workload
 CELLS = [next(argv for argv in same_bytes.reference_cells("analysis")
               if argv[0] == kind and "monte_carlo" not in argv)
@@ -61,4 +65,25 @@ def test_bp_steps_counts_searches_tries_and_exits():
 
 def test_bp_steps_takes_no_arguments(capsys):
     assert bp_steps.main(["convex-noisy"]) == 2
+    assert "usage" in capsys.readouterr().err
+
+
+def test_cell_times_gives_each_template_a_checked_median():
+    # omp, m=64, s=4: the quickest greedy-gauss template
+    templates = [cell_times.WORKLOADS["greedy-gauss"].templates[0][0]]
+    assert templates[0][:3] == ("phase", "--algo", "omp")
+    references = cell_times.load_references("greedy-gauss")
+    (median, ok), = cell_times.template_times(cli, templates, 2, references)
+    assert median > 0 and ok is True
+    references[" ".join(templates[0] + ("--seed", "1"))] = "0" * 64
+    (_, ok), = cell_times.template_times(cli, templates, 2, references)
+    assert ok is False
+
+
+@pytest.mark.parametrize("args", [[], ["no-such-workload"], ["greedy-dct", "0"],
+                                  ["greedy-dct", "49"], ["greedy-dct", "two"],
+                                  ["greedy-dct", "2", "3"]])
+def test_cell_times_usage_errors(args, capsys):
+    # greedy-dct's pool holds seeds 0-47
+    assert cell_times.main(args) == 2
     assert "usage" in capsys.readouterr().err
