@@ -72,9 +72,14 @@ class ExperimentGrid:
                 raise ValueError("m_values and s_values must be non-empty")
             object.__setattr__(self, name, values)
         for m in self.m_values:
+            EnsembleSpec(self.ensemble, m, self.d)
             if m > self.d:
                 # level 3: past the dataclass-generated __init__ to its caller
                 warnings.warn(f"cell with m={m} > d={self.d}", stacklevel=3)
+        for s in self.s_values:
+            SignalSpec(self.d, s, self.signal_kind, self.signal_p)
+        for level in (self.noise_norm, self.noise_fraction):
+            NoiseSpec(1, level)
 
 
 def run_algorithm(algorithm, A, u, s, e_norm=0.0, adjoint=None):

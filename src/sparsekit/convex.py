@@ -32,12 +32,12 @@ MAX_NEWTON = 60              # Newton-step cap per barrier stage
 GRAM_MIN_RCOND = 1e-8        # bp_equality solves through AA^T above this
 
 
-def _scale_columns(A, weights, d):
+def _scale_columns(A, weights):
     """``(A / w, w)`` for positive column weights w (all ones when none are
     given); the scaled problem's solution z' maps back as z = z' / w."""
     if weights is None:
-        return A, np.ones(d)
-    w = as_vector(weights, d, "weights")
+        return A, np.ones(A.shape[1])
+    w = as_vector(weights, A.shape[1], "weights")
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
     return A / w[None, :], w
@@ -174,7 +174,7 @@ def bp_equality(A, u, weights=None):
     A = as_matrix(A)
     m, d = A.shape
     u = as_vector(u, m, "u")
-    A, w = _scale_columns(A, weights, d)
+    A, w = _scale_columns(A, weights)
     if np.linalg.norm(u) == 0:
         return np.zeros(d)
     uscale = max(1.0, np.linalg.norm(u))
@@ -270,7 +270,7 @@ def bp_denoise(A, u, eps, weights=None):
         return bp_equality(A, u, weights)
     if np.linalg.norm(u) <= eps:
         return np.zeros(d)
-    A, w = _scale_columns(A, weights, d)
+    A, w = _scale_columns(A, weights)
 
     z, *_ = np.linalg.lstsq(A, u, rcond=None)
     r = A @ z - u
@@ -459,7 +459,7 @@ def rw_error_recursion(mu, eps, delta, tol=1e-3):
     if not tol > 0:
         raise ValueError("tol must be > 0")
     rho, alpha = rw_constants(delta)
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be >= 0")
     # at eps = 0 the hypothesis reads mu >= 0; NaN mu fails it too
     if not mu >= 4.0 * alpha * eps / (1.0 - rho):

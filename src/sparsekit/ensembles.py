@@ -132,8 +132,7 @@ def _full_dct(d, build):
 
     Callers pass ``dct_matrix`` as looked up at call time, so a wrapper
     bound over ``ensembles.dct_matrix`` (as the perfbench tracer does)
-    misses the cache once and sees the build it causes.  Threads that miss
-    together each build the same bytes.
+    misses the cache once and sees the build it causes.
     """
     C = build(d)
     C.flags.writeable = False
@@ -251,12 +250,12 @@ def _write_rows(path, kind, arr2d, seed):
             fh.write("\n")
 
 
-def save_matrix_csv(path, A, kind="matrix", seed=0):
-    _write_rows(path, kind, np.asarray(A, dtype=float), seed)
+def save_matrix_csv(path, A, seed=0):
+    _write_rows(path, "matrix", np.asarray(A, dtype=float), seed)
 
 
-def save_vector_csv(path, x, kind="signal", seed=0):
-    _write_rows(path, kind, np.asarray(x, dtype=float).reshape(1, -1), seed)
+def save_vector_csv(path, x, seed=0):
+    _write_rows(path, "signal", np.asarray(x, dtype=float).reshape(1, -1), seed)
 
 
 def load_csv(path):

@@ -23,13 +23,18 @@ class KaczmarzRun:
     rows_visited: np.ndarray = field(repr=False)
 
 
-def _check_rows(A, norms):
-    """``ValueError`` where an entry of ``norms`` (the row norms of A or
-    their squares) is 0: a zero row, or else a square that underflowed."""
+def _check_rows(A, norms, total):
+    """``ValueError`` unless A has rows whose norms or squares ``norms`` are
+    positive and finite, with no inf in ``total`` (their sum or running
+    sums); a 0 in ``norms`` is a zero row, or else a square that underflowed."""
+    if not A.shape[0]:
+        raise ValueError(f"matrix of shape {A.shape} has no rows")
     if np.any(norms == 0):
         if np.all(np.any(A, axis=1)):
             raise ValueError("the squared norms of A underflow; rescale A")
         raise ValueError("matrix has a zero row")
+    if np.any(total == np.inf) or not np.isfinite(norms).all():
+        raise ValueError("the squared norms of A overflow; rescale A")
 
 
 def rk_theory(A, residual=None):
@@ -44,9 +49,7 @@ def rk_theory(A, residual=None):
     with np.errstate(over="ignore"):
         row_norms = np.linalg.norm(A, axis=1)
         frob2 = float(np.sum(A**2))
-    _check_rows(A, row_norms)
-    if frob2 == np.inf or not np.isfinite(row_norms).all():
-        raise ValueError("the squared norms of A overflow; rescale A")
+    _check_rows(A, row_norms, frob2)
     smin, smax = extreme_singular_values(A)
     if smin <= 1e-12 * max(smax, 1.0):
         raise ValueError("matrix is rank deficient; R is undefined")
@@ -75,9 +78,7 @@ def rk_solve(A, b, x0, iters, seed=0, log_stride=1, x_ref=None):
     with np.errstate(over="ignore"):
         weights = np.einsum("ij,ij->i", A, A)
         cum = np.cumsum(weights)
-    _check_rows(A, weights)
-    if cum[-1] == np.inf:
-        raise ValueError("the squared norms of A overflow; rescale A")
+    _check_rows(A, weights, cum)
 
     rng = CounterRng(stream_seed(as_seed(seed), "kaczmarz"))
     picks = rng.uniform(iters) * cum[-1]

@@ -10,9 +10,9 @@ Every kernel checks the entries it reads for finiteness.
 ``least_squares`` checks the column block it is given, and
 ``pseudoinverse_apply`` reads only its support columns, so it checks only
 those; callers that loop over supports (the greedy solvers) check the whole
-matrix once up front.  StOMP and outside callers fit through
-``pseudoinverse_apply``; OMP, ROMP and CoSaMP gather their own block and
-call ``least_squares`` on it, since they form the residual from that block.
+matrix once up front.  StOMP fits through ``pseudoinverse_apply`` with the
+default settings; OMP, ROMP and CoSaMP gather their own block and call
+``least_squares`` on it, since they form the residual from that block.
 """
 
 import math
@@ -151,11 +151,11 @@ def least_squares(A_T, u, z0=None, cfg=None):
 
     if cfg.method == "richardson":
         z = np.zeros(k) if z is None else z
-        return _richardson(A_T, u, z, atu, target, max_iters)
+        return _richardson(A_T, z, atu, target, max_iters)
     return _cgnr(A_T, u, z, atu, target, max_iters)
 
 
-def _richardson(A_T, u, z, atu, target, max_iters):
+def _richardson(A_T, z, atu, target, max_iters):
     gram_z = A_T.T @ (A_T @ z)
     res0 = np.linalg.norm(gram_z - atu)
     for it in range(1, max_iters + 1):
@@ -217,18 +217,15 @@ def _cgnr(A_T, u, z, atu, target, max_iters):
     return z, it
 
 
-def pseudoinverse_apply(A, T, u, cfg=None, z0=None):
-    """Least-squares solution on the columns T, zero elsewhere.
-
-    ``z0`` optionally warm-starts the iterative solver with a full-length
-    vector (its restriction to T is used).
+def pseudoinverse_apply(A, T, u):
+    """Least-squares solution on the columns T, zero elsewhere, through
+    ``least_squares`` with its default settings.
 
     Only the columns in T are read, and only they are checked for finite
-    entries (by ``least_squares``): a NaN or inf in a column of T raises
-    ``ValueError``, while one outside T does not affect the result.  StOMP
-    checks all of A once on entry, so this call skips the m x d scan it
-    would otherwise repeat every stage.  StOMP and outside callers use it;
-    OMP, ROMP and CoSaMP fit their own block through ``least_squares``.
+    entries: a NaN or inf in a column of T raises ``ValueError``, while one
+    outside T does not affect the result.  u is checked for every T, the
+    empty one too.  StOMP, its one caller here, checks all of A once on
+    entry, so this call skips the m x d scan it would repeat every stage.
     """
     A = _as_2d(A)
     m, d = A.shape
@@ -236,11 +233,7 @@ def pseudoinverse_apply(A, T, u, cfg=None, z0=None):
     if idx.size > m:
         raise ValueError(f"support size {idx.size} exceeds row count {m}")
     x = np.zeros(d)
-    if idx.size == 0:
-        return x
-    start = None if z0 is None else as_vector(z0, d, "z0")[idx]
-    z, _ = least_squares(A[:, idx], u, start, cfg)
-    x[idx] = z
+    x[idx], _ = least_squares(A[:, idx], u)
     return x
 
 

@@ -143,6 +143,7 @@ def check_ric_consequences(A, s, trials=200, seed=0):
     """
     A = as_matrix(A)
     m, d = A.shape
+    s = as_count(s, "s", low=0)
     if not 1 <= 2 * s <= d:
         raise ValueError("need 1 <= 2s <= d")
     trials = as_count(trials, "trials")

@@ -73,6 +73,28 @@ class TestGrid:
         with pytest.raises(ValueError, match="must be a whole number >="):
             small_grid(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"ensemble": "foo"}, "unknown ensemble family"),
+        ({"ensemble": "partial_dct", "m_values": (64,)}, "rows <= cols"),
+        ({"s_values": (2, 33)}, "sparsity must lie in"),
+        ({"signal_kind": "compressible", "signal_p": 2.0}, "decay exponent"),
+        ({"signal_kind": "wavy"}, "unknown signal kind"),
+        ({"noise_norm": float("nan")}, "noise level"),
+        ({"noise_norm": -0.5}, "noise level"),
+        ({"noise_fraction": float("nan")}, "noise level"),
+        ({"noise_fraction": -0.1}, "noise level"),
+        ({"noise_norm": float("inf")}, "noise level"),
+    ], ids=["ensemble", "dct-m-above-d", "s-above-d", "compressible-p",
+            "signal-kind", "nan-norm", "negative-norm", "nan-fraction",
+            "negative-fraction", "inf-norm"])
+    def test_settings_a_trial_rejects_are_rejected_at_build(self, kwargs,
+                                                            match):
+        # each built, and the first trial raised from its spec
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                small_grid(**kwargs)
+
     def test_whole_float_cells_run_the_int_cells(self):
         grid = small_grid(m_values=[16.0], s_values=np.array([2.0]), trials=2)
         assert grid.m_values == (16,) and grid.s_values == (2,)

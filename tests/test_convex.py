@@ -755,6 +755,12 @@ class TestErrorRecursion:
         with pytest.raises(ValueError, match="hypothesis"):
             rw_error_recursion(float("nan"), 0.1, 0.2)
 
+    @pytest.mark.parametrize("eps", [float("nan"), -0.1])
+    def test_eps_must_be_non_negative(self, eps):
+        # a NaN eps was reported as a hypothesis violation on mu
+        with pytest.raises(ValueError, match="^eps must be >= 0$"):
+            rw_error_recursion(10.0, eps, 0.1)
+
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-3])
     def test_tol_must_be_positive(self, tol):
         # NaN returned a one-term bound and 0 ran 100,000 terms before failing

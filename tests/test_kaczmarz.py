@@ -94,6 +94,18 @@ class TestScaledRows:
             call(np.array([[1e-170, 0.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda A: rk_solve(A, np.ones(0), np.zeros(3), 10),
+    lambda A: rk_solve(A, np.ones(0), np.zeros(3), 0),
+    lambda A: rk_theory(A),
+], ids=["rk_solve", "rk_solve-no-iterations", "rk_theory"])
+def test_a_matrix_without_rows_is_rejected(call):
+    # rk_solve raised IndexError from cum[-1]; rk_theory said "rank deficient"
+    with pytest.raises(ValueError,
+                       match=r"^matrix of shape \(0, 3\) has no rows$"):
+        call(np.zeros((0, 3)))
+
+
 class TestSolve:
     def test_fixed_point(self):
         A = CounterRng(2).normal(80).reshape(20, 4)

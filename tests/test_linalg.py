@@ -242,6 +242,15 @@ class TestPseudoinverseApply:
         x = pseudoinverse_apply(np.eye(3), [], [1.0, 2.0, 3.0])
         assert np.array_equal(x, np.zeros(3))
 
+    @pytest.mark.parametrize("u, match", [
+        ([1.0, 2.0], "length 2, expected 3"),
+        ([1.0, np.nan, 3.0], "finite"),
+    ], ids=["short", "nan"])
+    def test_empty_support_checks_u(self, u, match):
+        # returned zeros, while T=[0] raised
+        with pytest.raises(ValueError, match=match):
+            pseudoinverse_apply(np.eye(3), [], u)
+
     def test_planted_support_recovery(self):
         rng = CounterRng(8)
         A = rng.normal(48).reshape(6, 8) / np.sqrt(6)
@@ -283,9 +292,8 @@ class TestPseudoinverseApply:
         clean = A.copy()
         clean[:, 3] = 0.0
         A[2, 3] = bad
-        for cfg in (None, LsConfig("conjugate_gradient", 3, 1e-12)):
-            got = pseudoinverse_apply(A, T, u, cfg)
-            assert got.tobytes() == pseudoinverse_apply(clean, T, u, cfg).tobytes()
+        got = pseudoinverse_apply(A, T, u)
+        assert got.tobytes() == pseudoinverse_apply(clean, T, u).tobytes()
 
     def test_non_finite_in_support_raises(self):
         A = CounterRng(16).normal(48).reshape(6, 8)

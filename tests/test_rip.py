@@ -246,6 +246,13 @@ class TestConsequences:
         with pytest.raises(ValueError, match=r"need 1 <= 2s <= d"):
             check_ric_consequences(A, s, trials=20)
 
+    @pytest.mark.parametrize("s", [1.5, True, np.nan])
+    def test_order_must_be_a_whole_number(self, s):
+        # 1.5 and True failed inside CounterRng.subset with "k must be ..."
+        A = gen_matrix(EnsembleSpec("gaussian", 6, 10, seed=13))
+        with pytest.raises(ValueError, match="^s must be a whole number >= 0$"):
+            check_ric_consequences(A, s, trials=20)
+
     @pytest.mark.parametrize("trials", [-1, 0, 2.5, np.nan])
     def test_trials_must_be_a_whole_number(self, trials):
         # trials=-1 used to report every check passed over an empty battery
