@@ -67,8 +67,9 @@ class StompConfig:
     max_stages: int = 10
 
     def __post_init__(self):
-        if not 0 < self.t < np.inf:
-            raise ValueError("threshold parameter t must be > 0 and finite")
+        if isinstance(self.t, (bool, np.bool_)) or not 0 < self.t < np.inf:
+            raise ValueError(
+                "threshold parameter t must be > 0 and finite, not a boolean")
         object.__setattr__(self, "max_stages", as_count(self.max_stages, "max_stages"))
 
 
@@ -229,7 +230,7 @@ def stomp(A, u, cfg=None, adjoint=None):
         stages += 1
         y = A.T @ r if adjoint is None else adjoint(r)
         y[I] = 0.0
-        sigma = rnorm / np.sqrt(m)
+        sigma = rnorm / np.sqrt(max(m, 1))     # u = 0 when m = 0
         J = np.flatnonzero(np.abs(y) > cfg.t * sigma)
         if J.size == 0:
             halt = HALT_PROXY_INFNORM
@@ -315,8 +316,9 @@ def cosamp(A, u, cfg, adjoint=None):
     and ||v|| <= halt_value, with ``residual_zero`` when ||v|| <=
     RESIDUAL_TOL, or at ``cfg.iteration_cap``; once the proxy y = A'v is
     formed, the ``proxy_infnorm`` rule halts when max|y| <= halt_value /
-    sqrt(2s).  The report's ``estimate_history`` holds the estimate after
-    each iteration.
+    sqrt(2s), and every rule halts with ``proxy_infnorm_criterion`` when
+    the merged support is empty (y = 0 and no support held).  The report's
+    ``estimate_history`` holds the estimate after each iteration.
     """
     A = as_matrix(A)
     m, d = A.shape
@@ -354,6 +356,9 @@ def cosamp(A, u, cfg, adjoint=None):
             omega = _cap_columns(
                 y, np.setdiff1d(omega, cur, assume_unique=True), cur.size, m)
         T = np.union1d(omega, cur)
+        if T.size == 0:                # y = 0 and no support held
+            halt = HALT_PROXY_INFNORM
+            break
         A_T = A[:, T]
         zT, _ = linalg.least_squares(A_T, u, a[T], COSAMP_LS)
         # the estimate is zero outside T, so pruning T prunes all of it: a

@@ -8,6 +8,9 @@ import pytest
 
 from sparsekit import convex
 from sparsekit.convex import (
+    BP_GAP_TOL,
+    BP_MAX_ITERS,
+    GAP_CONTRACT,
     InfeasibleError,
     RwConfig,
     SolverError,
@@ -132,11 +135,9 @@ class TestBpEquality:
         assert unique
         np.testing.assert_allclose(bp_equality(A, A @ x), oracle, atol=atol)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the contract test judges the duality gap through sum(t), but "
-        "the least-norm restore moves z afterwards; the answer is 9e-2 from "
-        "the optimum with an l1 norm 5.4% above it, and no error"))
     def test_nearly_repeated_row_far_from_optimum_is_reported(self):
+        # a stalled search used to end in a restore back onto Az = u, 9e-2
+        # from the optimum with an l1 norm 5.4% above it, and no error
         A, x = self.nearly_repeated_row(25, 1e-7)
         oracle, unique = l1_vertex_oracle(A, A @ x)
         assert unique
@@ -145,6 +146,59 @@ class TestBpEquality:
         except SolverError:
             return
         np.testing.assert_allclose(z, oracle, atol=1e-5)
+
+    def test_nearly_repeated_row_battery(self):
+        # 90 unique optima: each answer lies within 1e-4 of the optimum or
+        # is a SolverError.  The restore at the stall and step-cap exits
+        # returned 8 answers 1.8e-4 to 0.46 away
+        near = 0
+        for gap in (1e-5, 1e-7, 1e-9):
+            for seed in range(30):
+                A, x = self.nearly_repeated_row(seed, gap)
+                oracle, unique = l1_vertex_oracle(A, A @ x)
+                assert unique
+                try:
+                    z = bp_equality(A, A @ x)
+                except SolverError:
+                    continue
+                distance = float(np.max(np.abs(z - oracle)))
+                assert distance <= 1e-4, (gap, seed, distance)
+                near += distance <= 1e-5
+        assert near >= 55
+
+    @pytest.mark.parametrize("gap, seed, steps, certified", [
+        (1e-5, 29, BP_MAX_ITERS, True), (1e-7, 22, 14, True),
+        (1e-9, 1, BP_MAX_ITERS, False), (1e-7, 25, 20, False)])
+    def test_fallback_exits_try_the_certificate_to_the_contract(
+            self, monkeypatch, gap, seed, steps, certified):
+        # after BP_MAX_ITERS steps, or a stalled search after fewer, the
+        # last iterate gets one more try at GAP_CONTRACT
+        A, x = self.nearly_repeated_row(seed, gap)
+        certificates = record_certificates(monkeypatch)
+        if certified:
+            z = bp_equality(A, A @ x)
+            assert z.tobytes() == certificates[-1][1].tobytes()
+        else:
+            reason = "iteration limit" if steps == BP_MAX_ITERS else "stalled"
+            with pytest.raises(SolverError, match=reason):
+                bp_equality(A, A @ x)
+            assert certificates[-1][1] is None
+        assert [args[-1] for args, _ in certificates] == \
+            [BP_GAP_TOL] * steps + [GAP_CONTRACT]
+        assert all(answer is None for _, answer in certificates[:-1])
+
+    def test_duplicated_column_returns_an_optimum(self):
+        # every split of x_0 between column 0 and its copy is optimal, so no
+        # vertex is certified; the answer is one of the optima
+        A = gen_matrix(EnsembleSpec("gaussian", 6, 12, seed=stream_seed("dupcol", 0)))
+        A[:, -1] = A[:, 0]
+        x = np.zeros(12)
+        x[[0, 4]] = [1.0, -0.5]
+        oracle, unique = l1_vertex_oracle(A, A @ x)
+        assert not unique
+        z = bp_equality(A, A @ x)
+        assert np.linalg.norm(A @ z - A @ x) <= 1e-8
+        assert abs(np.abs(z).sum() - np.abs(oracle).sum()) <= 1e-6
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "partial_dct"])
     def test_gram_solves_match_lstsq(self, family):
@@ -505,7 +559,7 @@ def record_certificates(monkeypatch):
     return calls
 
 
-def threshold_guess(A, u, z, t, nu, uscale):
+def threshold_guess(A, u, z, t, nu, uscale, gap_tol):
     """``_certified_vertex`` with the support guess it had before the
     largest-gap rule, kept frozen: S holds the entries with |z_i| > t_i / 2
     and > 1e-3 max|z|.  Zeroing z off S makes the gap rule pick S, and the
@@ -514,7 +568,7 @@ def threshold_guess(A, u, z, t, nu, uscale):
     on_S = (az > 0.5 * t) & (az > 1e-3 * az.max())
     if not 1 <= np.count_nonzero(on_S) <= A.shape[0]:
         return None
-    return _certified_vertex(A, u, np.where(on_S, z, 0.0), t, nu, uscale)
+    return _certified_vertex(A, u, np.where(on_S, z, 0.0), t, nu, uscale, gap_tol)
 
 
 class TestCertifiedVertex:
@@ -549,12 +603,12 @@ class TestCertifiedVertex:
         A, x = self.instance(0)
         certificates = record_certificates(monkeypatch)
         bp_equality(A, A @ x)
-        (_, u, z, t, nu, uscale), answer = certificates[-1]
+        (_, u, z, t, nu, uscale, tol), answer = certificates[-1]
         assert answer is not None
         for i in np.flatnonzero(x):
             missing = z.copy()
             missing[i] = 0.0
-            assert _certified_vertex(A, u, missing, t, nu, uscale) is None
+            assert _certified_vertex(A, u, missing, t, nu, uscale, tol) is None
 
     def test_primal_miss_skips_the_dual_solve(self, monkeypatch):
         # most refused tries miss Az = u: they stop after the refit's solve,
@@ -562,7 +616,7 @@ class TestCertifiedVertex:
         A, x = self.instance(0)
         certificates = record_certificates(monkeypatch)
         bp_equality(A, A @ x)
-        (_, u, z, t, nu, uscale), _ = certificates[-1]
+        (_, u, z, t, nu, uscale, tol), _ = certificates[-1]
         missing = z.copy()
         missing[np.flatnonzero(x)[0]] = 0.0
         solves, solve = [], np.linalg.solve
@@ -572,10 +626,10 @@ class TestCertifiedVertex:
             return solve(G, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
-        assert _certified_vertex(A, u, missing, t, nu, uscale) is None
+        assert _certified_vertex(A, u, missing, t, nu, uscale, tol) is None
         assert solves == [4]
         solves.clear()
-        assert _certified_vertex(A, u, z, t, nu, uscale) is not None
+        assert _certified_vertex(A, u, z, t, nu, uscale, tol) is not None
         assert solves == [5, 5]
 
     def test_none_for_a_non_unique_optimum(self, monkeypatch):
@@ -589,7 +643,8 @@ class TestCertifiedVertex:
         nu = np.array([-0.5, -0.5])
         # both columns on S: G is singular; one: the other is dual-tight
         for z in ([0.5, 0.0, 0.5], [0.9, 0.001, 0.01]):
-            assert _certified_vertex(A, u, np.array(z), np.full(3, 0.6), nu, 1.0) is None
+            assert _certified_vertex(A, u, np.array(z), np.full(3, 0.6), nu,
+                                     1.0, BP_GAP_TOL) is None
 
     @pytest.mark.parametrize("z, S", [
         ([0.0, 3.0, 0.0, -1.0, 0.0, 0.0], [1, 3]),   # the first zero
@@ -609,7 +664,8 @@ class TestCertifiedVertex:
             raise np.linalg.LinAlgError
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        assert _certified_vertex(A, u, np.array(z), np.ones(6), np.zeros(3), 1.0) is None
+        assert _certified_vertex(A, u, np.array(z), np.ones(6), np.zeros(3),
+                                 1.0, BP_GAP_TOL) is None
         np.testing.assert_allclose(rhs[0], (A.T @ u)[S], rtol=1e-12)
 
     @pytest.mark.parametrize("s, seed", BATTERY)
@@ -629,7 +685,7 @@ class TestCertifiedVertex:
     def test_none_for_a_zero_iterate(self):
         A = np.eye(3)
         assert _certified_vertex(A, np.ones(3), np.zeros(3), np.ones(3),
-                                 np.zeros(3), 1.0) is None
+                                 np.zeros(3), 1.0, BP_GAP_TOL) is None
 
     def test_weighted_route_divides_the_refit_by_the_weights(self, monkeypatch):
         A, x = self.instance(1)

@@ -141,9 +141,22 @@ class TestStomp:
         assert rep.iterations == 1
         assert rep.halt_reason == "proxy_infnorm_criterion"
 
+    def test_no_rows_one_stage(self):
+        # divided 0 by 0 in the threshold's ||r|| / sqrt(m)
+        rep = stomp(np.zeros((0, 4)), np.zeros(0))
+        assert np.array_equal(rep.estimate, np.zeros(4))
+        assert rep.iterations == 1 and rep.residual_history == []
+        assert rep.halt_reason == "proxy_infnorm_criterion"
+
     @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
     def test_threshold_must_be_positive(self, t):
         with pytest.raises(ValueError, match="t must be > 0"):
+            StompConfig(t=t)
+
+    @pytest.mark.parametrize("t", [True, np.True_])
+    def test_boolean_threshold_rejected(self, t):
+        # was accepted as t = 1
+        with pytest.raises(ValueError, match="t must be .* not a boolean"):
             StompConfig(t=t)
 
     def test_identity_flat_threshold_rule(self):
@@ -483,6 +496,18 @@ class TestCosamp:
         rep = cosamp(np.eye(8), np.zeros(8), CosampConfig(2))
         assert rep.iterations == 0
         assert np.array_equal(rep.estimate, np.zeros(8))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (3, 5)])
+    def test_empty_merged_set_halts_at_once(self, shape):
+        # no columns, or zero ones: the proxy has no nonzero entry and no
+        # support is held, so T is empty; this ran all 12 iterations on the
+        # same residual and reported max_iterations
+        with pytest.warns(UserWarning, match="4s=4 > m=3"):
+            rep = cosamp(np.zeros(shape), np.ones(3), CosampConfig(1))
+        assert rep.iterations == 0 and rep.residual_history == []
+        assert rep.halt_reason == "proxy_infnorm_criterion"
+        assert np.array_equal(rep.estimate, np.zeros(shape[1]))
+        assert rep.support.size == 0
 
     def test_a_kept_zero_leaves_the_support(self):
         # the fit on T = {0, 4} is exactly (1, 0): pruning to s = 2 keeps
